@@ -6,10 +6,12 @@ it over HTTP with the :class:`~repro.service.client.ServiceClient`,
 and asserts the service contract:
 
 1. a **cold** job over the given experiments completes via the job API
-   (submit -> poll -> done) with results for every experiment;
+   (submit -> wait -> done) with results for every experiment;
 2. an identical **warm** resubmission is served from the shared result
    store (>= ``--min-hit-rate`` of its records are cache hits) and the
-   store stats route shows the hits;
+   store stats route shows the hits; its round trip costs exactly
+   one status request (submit, one long-poll wait, result), so a
+   return to polling fails here deterministically;
 3. the JSONL event stream replays the full job lifecycle
    (queued -> running -> record* -> done);
 4. **telemetry correlates end to end**: the cold job's client-minted
@@ -50,6 +52,10 @@ from repro.service import ServiceClient, ServiceError
 #: ``repro serve`` exits with this after a drain signal.
 EXIT_INTERRUPTED = 4
 
+#: ``service.requests`` a cached job's round trip adds: submit, one
+#: long-poll wait, result, and the closing stats read itself.
+CACHED_ROUND_TRIP_REQUESTS = 4
+
 DEFAULT_IDS = ("E-T1", "E-T2")
 
 
@@ -82,6 +88,10 @@ def _run_job(client: ServiceClient, ids: list[str], tenant: str,
     print(f"  -> {final['state']}, "
           f"{len(final.get('records', []))} record(s)")
     return final
+
+
+def _requests(client: ServiceClient) -> float:
+    return client.stats()["counters"].get("service.requests", 0)
 
 
 def _check_correlation(client: ServiceClient, job: dict,
@@ -242,7 +252,17 @@ def main() -> int:
             _check_profile(client, cold, Path(args.profile_out),
                            problems)
 
+        before = _requests(client)
         warm = _run_job(client, ids, "smoke-warm", args.job_timeout)
+        client.result(warm["id"])
+        spent = _requests(client) - before
+        print(f"warm round trip: {spent:g} request(s) incl. the "
+              f"closing stats read")
+        if spent != CACHED_ROUND_TRIP_REQUESTS:
+            _fail(problems,
+                  f"cached job round trip took {spent:g} requests, "
+                  f"expected {CACHED_ROUND_TRIP_REQUESTS} (submit, one "
+                  f"wait, result, stats): is wait polling again?")
         records = warm.get("records", [])
         hits = sum(1 for record in records if record["cache_hit"])
         rate = hits / max(1, len(records))

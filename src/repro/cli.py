@@ -1398,8 +1398,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                                   "collapsed stacks with "
                                   "'jobs profile <job-id>'")
     jobs_submit.add_argument("--wait", action="store_true",
-                             help="poll until the job finishes and "
-                                  "print the final state")
+                             help="wait (long-poll) until the job "
+                                  "finishes and print the final state")
     jobs_submit.add_argument("--wait-timeout", type=float,
                              default=300.0,
                              help="--wait deadline in seconds "

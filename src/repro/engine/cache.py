@@ -441,11 +441,15 @@ class ResultCache:
     def claim(self, experiment_id: str, fingerprint: str) -> bool:
         """Try to lease the in-flight entry; True if this process won.
 
-        The claim file is created with ``O_CREAT | O_EXCL`` so exactly
-        one of any number of simultaneous claimants succeeds.  Failure
-        to create for any other reason (read-only cache, I/O error) is
-        reported as an acquired claim: claims are an optimisation, and
-        a cache that cannot hold leases must never block computation.
+        The claim is written to a private temp file and hard-linked
+        into place: the link fails if the claim exists, so exactly one
+        of any number of simultaneous claimants succeeds, and the claim
+        appears with its body already in it.  (Created empty and then
+        written, a waiter reading in between would parse no holder and
+        break the claim as stale.)  Failure to create for any other
+        reason (read-only cache, I/O error) is reported as an acquired
+        claim: claims are an optimisation, and a cache that cannot hold
+        leases must never block computation.
         """
         path = self.claim_path(experiment_id, fingerprint)
         body = json.dumps({
@@ -453,20 +457,21 @@ class ResultCache:
             "host": socket.gethostname(),
             "created_at": wall_now(),
         }).encode("utf-8")
+        tmp = path.parent / (f".tmp-claim-{os.getpid()}"
+                             f"-{next(_tmp_counter)}")
         try:
             ensure_dir(path.parent)
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                         0o644)
+            tmp.write_bytes(body)
+            os.link(tmp, path)
         except FileExistsError:
             return False
         except (OSError, ReproError):
             return True
-        try:
-            os.write(fd, body)
-        except OSError:
-            pass
         finally:
-            os.close(fd)
+            try:
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
         self._claims += 1
         add_counter("cache.claims")
         return True

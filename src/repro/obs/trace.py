@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -147,7 +148,8 @@ class Trace:
     """All spans and counters observed during one traced region."""
 
     def __init__(self, name: str = "trace", *,
-                 span_histograms: bool = True) -> None:
+                 span_histograms: bool = True,
+                 max_spans: int | None = None) -> None:
         self.name = name
         self.epoch_s = wall_now()            # wall anchor for export
         self.start_monotonic_s = time.monotonic()
@@ -159,7 +161,12 @@ class Trace:
         #: without a second clock read anywhere.
         self.span_histograms = span_histograms
         self._lock = threading.Lock()
-        self._spans: list[SpanRecord] = []
+        #: ``max_spans`` keeps only the newest spans (a long-running
+        #: daemon); each one pushed out counts as
+        #: ``trace.spans_dropped``.  ``None`` keeps every span.
+        if max_spans is not None and max_spans < 1:
+            raise ValueError(f"max_spans must be >= 1, got {max_spans}")
+        self._spans: deque[SpanRecord] = deque(maxlen=max_spans)
         self._local = threading.local()
 
     # -- recording ----------------------------------------------------
@@ -200,7 +207,10 @@ class Trace:
             for key, value in context_fields().items():
                 record.attributes.setdefault(key, value)
         with self._lock:
+            full = len(self._spans) == self._spans.maxlen
             self._spans.append(record)
+        if full:
+            self.counters.add("trace.spans_dropped")
         if observe and self.span_histograms:
             self.metrics.observe(f"span.{record.name}",
                                  record.duration_s,

@@ -13,10 +13,14 @@ retry budget is spent, and retryable 5xx answers (500/502/503/504) are
 retried with capped-jitter exponential backoff honouring any
 ``Retry-After`` the server sent.  :meth:`wait` and
 :meth:`events(follow=True) <events>` additionally survive a daemon
-restart mid-stream: ``wait`` keeps polling through connection drops
+restart mid-stream: ``wait`` keeps asking through connection drops
 until its own deadline, and a following event stream reconnects with
 ``?since=<next seq>`` so no event is lost or duplicated across the
 drop.
+
+Neither polls: :meth:`wait` long-polls ``GET /v1/jobs/<id>?wait=S``,
+which the daemon answers the moment the job is terminal, and a
+following stream is pushed each event as it happens.
 """
 
 from __future__ import annotations
@@ -194,8 +198,14 @@ class ServiceClient:
         path = "/v1/jobs" + (f"?tenant={tenant}" if tenant else "")
         return self._request("GET", path)["jobs"]
 
-    def job(self, job_id: str) -> dict:
-        return self._request("GET", f"/v1/jobs/{job_id}")
+    def job(self, job_id: str, wait_s: float = 0.0) -> dict:
+        """The job's status; with ``wait_s`` the daemon holds the answer
+        until the job is terminal or ``wait_s`` runs out.
+
+        Keep ``wait_s`` below ``timeout_s``, the socket timeout.
+        """
+        query = f"?wait={wait_s:.3f}" if wait_s > 0 else ""
+        return self._request("GET", f"/v1/jobs/{job_id}{query}")
 
     def result(self, job_id: str) -> dict:
         return self._request("GET", f"/v1/jobs/{job_id}/result")
@@ -316,19 +326,22 @@ class ServiceClient:
                 time.sleep(self.backoff.delay_s(
                     f"events:{job_id}", attempt))
 
-    def wait(self, job_id: str, *, timeout_s: float = 300.0,
-             poll_s: float = 0.1) -> dict:
-        """Poll until the job is terminal; returns the final job dict.
+    def wait(self, job_id: str, *, timeout_s: float = 300.0) -> dict:
+        """Block until the job is terminal; returns the final job dict.
 
-        Connection failures during the poll (a daemon restarting under
-        the job) are absorbed with capped backoff until ``timeout_s``
-        runs out -- the recovered daemon still knows the job.
+        Each round is one long-poll :meth:`job` call holding for at
+        most half the socket timeout, so a finished job is seen the
+        moment it finishes.  Connection failures (a daemon restarting
+        under the job) are absorbed with capped backoff until
+        ``timeout_s`` runs out -- the recovered daemon still knows the
+        job.
         """
         deadline = time.monotonic() + timeout_s
         failures = 0
         while True:
+            wait_s = min(deadline - time.monotonic(), self.timeout_s / 2)
             try:
-                job = self.job(job_id)
+                job = self.job(job_id, wait_s=max(0.0, wait_s))
             except ServiceUnavailableError:
                 if time.monotonic() >= deadline:
                     raise
@@ -344,4 +357,3 @@ class ServiceClient:
                 raise ServiceError(
                     f"job {job_id} still {job['state']} after "
                     f"{timeout_s:.0f}s")
-            time.sleep(poll_s)

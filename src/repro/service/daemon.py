@@ -6,7 +6,11 @@ multi-tenant service.  Architecture, front to back:
 * **HTTP front end** -- an asyncio-streams HTTP/1.1 server (stdlib
   only, no web framework).  Handlers parse a request, call into
   :class:`ExperimentService`, and encode a JSON response; the events
-  route streams JSONL and can *follow* a running job.
+  route streams JSONL and can *follow* a running job.  A request that
+  waits on a job (``?wait=S``, ``?follow=1``) parks on the loop and is
+  woken by the job's change notification
+  (:meth:`~repro.service.jobs.Job.watch`), which dispatcher threads
+  hand over with ``loop.call_soon_threadsafe``: no polling.
 * **Admission** -- submissions pass through the bounded multi-tenant
   :class:`~repro.service.queue.AdmissionQueue`; a full queue answers
   ``429`` with a ``Retry-After`` hint instead of buffering without
@@ -17,6 +21,10 @@ multi-tenant service.  Architecture, front to back:
   tenant is served from cache and two jobs racing on one key settle it
   via claim files, not duplicate computation.  Engines run with
   ``handle_signals=False``: the daemon owns signal policy.
+* **Bounded memory** -- terminal jobs beyond ``wal_keep_terminal``
+  are forgotten (the set WAL compaction keeps, so a restart changes
+  nothing), and the service trace keeps its newest
+  :data:`MAX_TRACE_SPANS` spans.
 * **Shutdown** -- SIGINT/SIGTERM (or ``POST /v1/shutdown``) stops
   admission (503), cancels queued jobs, drains in-flight ones, prunes
   the store to its configured bounds, writes the service trace
@@ -28,7 +36,10 @@ Routes::
     GET  /healthz                   liveness + population counts
     POST /v1/jobs                   submit a sweep      -> 202 | 429
     GET  /v1/jobs[?tenant=]         list jobs
-    GET  /v1/jobs/<id>              one job, records included
+    GET  /v1/jobs/<id>[?wait=S]     one job, records included; with
+                                    wait, answer once it is terminal
+                                    or after S s (capped at
+                                    MAX_WAIT_S)
     GET  /v1/jobs/<id>/events       JSONL event stream [?follow=1]
     GET  /v1/jobs/<id>/result       results payload of a done job
     POST /v1/jobs/<id>/cancel       cancel while queued -> 200 | 409
@@ -42,6 +53,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
 import time
@@ -73,6 +85,7 @@ from repro.obs import (
     span,
     to_prometheus,
     trace_context,
+    wall_now,
     write_trace,
 )
 from repro.obs.log import LEVELS
@@ -98,6 +111,14 @@ from repro.service.wal import WAL_FILENAME, JobWAL, WalEntry
 
 #: Bytes of request body the server is willing to buffer.
 MAX_BODY_BYTES = 1 << 20
+
+#: Longest a ``GET /v1/jobs/<id>?wait=S`` request stays parked; larger
+#: ``S`` is clamped to it.
+MAX_WAIT_S = 30.0
+
+#: Spans the service trace keeps (the newest); older ones are counted
+#: as ``trace.spans_dropped``.
+MAX_TRACE_SPANS = 2048
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -205,7 +226,7 @@ class ExperimentService:
         self.config = config or ServiceConfig()
         self.queue = AdmissionQueue(self.config.queue)
         self.store = StoreManager(self.config.cache_dir)
-        self.trace = Trace("repro-service")
+        self.trace = Trace("repro-service", max_spans=MAX_TRACE_SPANS)
         self.wal = JobWAL(Path(self.config.cache_dir) / "service"
                           / WAL_FILENAME)
         self.jobs: dict[str, Job] = {}
@@ -383,15 +404,15 @@ class ExperimentService:
                         "orphaned run exceeded "
                         f"{self.config.max_recovery_attempts} recovery "
                         "attempt(s)")
-                    job.transition(JOB_FAILED,
-                                   reason=REASON_RECOVERY_EXHAUSTED,
-                                   error=job.error)
                     add_counter("jobs.recovery_exhausted")
                     add_counter("service.jobs_failed")
                     self._log.warning(
                         "recovery.exhausted", job_id=job.id,
                         trace_id=job.spec.trace_id,
                         attempts=attempts - 1)
+                    job.transition(JOB_FAILED,
+                                   reason=REASON_RECOVERY_EXHAUSTED,
+                                   error=job.error)
                     continue
                 job.recovery_attempts = attempts
                 delay = self.config.recovery_backoff.delay_s(
@@ -409,6 +430,7 @@ class ExperimentService:
             self.queue.submit(job, force=True)
         # leases the dead process held will never be released by it
         self.store.cache.sweep_stale_claims()
+        self._reap_terminal()
         self.wal.compact(self._wal_entries(),
                          keep_terminal=self.config.wal_keep_terminal)
         if self.recovered_jobs or self.queue.depth():
@@ -486,6 +508,11 @@ class ExperimentService:
         # the instant it is queued, and a state record must never reach
         # the WAL ahead of its submit record.
         self.wal.log_submit(job_id, spec, job.submitted_at)
+        # The queue wait starts at admission: the fsync above belongs to
+        # the submit request, so ``submitted_at`` is stamped after it
+        # (the WAL keeps the earlier stamp; replay ordering is by
+        # journal position).
+        job.submitted_at = wall_now()
         try:
             self.queue.submit(job)
         except QueueFullError:
@@ -524,8 +551,33 @@ class ExperimentService:
         if job is None:
             return False, "unknown job"
         if self.queue.cancel(job_id) is not None:
+            self._reap_terminal()
             return True, "cancelled"
         return False, f"job is {job.state}, not queued"
+
+    def _reap_terminal(self) -> None:
+        """Forget terminal jobs beyond ``config.wal_keep_terminal``.
+
+        The newest-submitted ones stay: the set WAL compaction keeps,
+        so a running daemon and a restarted one know the same jobs
+        (a reaped one is a 404 either way).  A reaped job's
+        idempotency key is released.  A negative bound keeps all.
+        """
+        keep = self.config.wal_keep_terminal
+        if keep < 0:
+            return
+        with self._jobs_lock:
+            terminal = [job for job in self.jobs.values() if job.terminal]
+            excess = len(terminal) - keep
+            if excess <= 0:
+                return
+            terminal.sort(key=lambda job: (job.submitted_at, job.id))
+            for job in terminal[:excess]:
+                del self.jobs[job.id]
+                key = job.spec.idempotency_key
+                if key is not None and self._idempotency.get(key) == job.id:
+                    del self._idempotency[key]
+        add_counter("service.jobs_reaped", excess)
 
     def prune_store(self):
         return self.store.prune(
@@ -573,12 +625,12 @@ class ExperimentService:
                          "recovery attempt(s)"
                          if not self._draining.is_set()
                          else "stalled while the service was draining")
+            add_counter("service.jobs_failed")
             job.transition(JOB_FAILED,
                            reason=(REASON_RECOVERY_EXHAUSTED
                                    if not self._draining.is_set()
                                    else REASON_STALL),
                            error=job.error)
-            add_counter("service.jobs_failed")
             return
         job.recovery_attempts = attempts
         delay = self.config.recovery_backoff.delay_s(job.id, attempts)
@@ -598,8 +650,15 @@ class ExperimentService:
         with trace_context(trace_id=spec.trace_id, job_id=job.id,
                            tenant=spec.tenant):
             self._run_job_in_context(job)
+        self._reap_terminal()
 
     def _run_job_in_context(self, job: Job) -> None:
+        """Run one job; every terminal transition comes last.
+
+        A terminal transition wakes parked waiters at once, so the
+        counters and log records describing the outcome are written
+        before it: a woken client reading ``/v1/stats`` sees them.
+        """
         spec = job.spec
         job.transition(JOB_RUNNING, tenant=spec.tenant)
         wait_s = job.queue_wait_s() or 0.0
@@ -627,9 +686,9 @@ class ExperimentService:
                 sweep = engine.run(spec.experiment_ids or None)
         except (ReproError, Exception) as exc:  # job must never kill us
             job.error = f"{type(exc).__name__}: {exc}"
-            job.transition(JOB_FAILED, error=job.error)
             add_counter("service.jobs_failed")
             self._log.error("job.crashed", error=job.error)
+            job.transition(JOB_FAILED, error=job.error)
             return
         finally:
             if profiler is not None:
@@ -650,37 +709,38 @@ class ExperimentService:
         # Measured from dispatch, not job.wall_s(): finished_at is only
         # stamped by the terminal transition below, and a stalled job
         # requeues without one -- wall_s() here would always be None.
-        observe("service.job_wall_s", time.monotonic() - now,
-                DURATION_BUCKETS, tenant=spec.tenant)
+        wall_s = time.monotonic() - now
+        observe("service.job_wall_s", wall_s, DURATION_BUCKETS,
+                tenant=spec.tenant)
         if entry.verdict == "deadline":
             job.error = (f"deadline_s={spec.deadline_s:g} exceeded "
                          "(run aborted by the watchdog)")
-            job.transition(JOB_FAILED, reason=REASON_DEADLINE,
-                           error=job.error)
             add_counter("jobs.deadline_exceeded")
             add_counter("service.jobs_failed")
             self._log.warning("job.deadline_exceeded",
                               deadline_s=spec.deadline_s)
+            job.transition(JOB_FAILED, reason=REASON_DEADLINE,
+                           error=job.error)
         elif entry.verdict == "stall":
             self._log.warning("job.stalled",
                               stall_timeout_s=
                               self.config.stall_timeout_s)
             self._requeue_stalled(job)
         elif sweep.metrics.all_ok:
-            job.transition(JOB_DONE, ok=sweep.metrics.ok,
-                           cache_hits=sweep.metrics.cache_hits)
             add_counter("service.jobs_done")
             add_counter(f"service.jobs_done.{spec.tenant}")
             self._log.info("job.done", ok=sweep.metrics.ok,
                            cache_hits=sweep.metrics.cache_hits,
-                           wall_s=round(job.wall_s() or 0.0, 6))
+                           wall_s=round(wall_s, 6))
+            job.transition(JOB_DONE, ok=sweep.metrics.ok,
+                           cache_hits=sweep.metrics.cache_hits)
         else:
             failed = [record.experiment_id for record in sweep.records
                       if not record.ok]
             job.error = f"{len(failed)} experiment(s) not ok: {failed}"
-            job.transition(JOB_FAILED, error=job.error)
             add_counter("service.jobs_failed")
             self._log.warning("job.failed", error=job.error)
+            job.transition(JOB_FAILED, error=job.error)
         self.prune_store()
 
     def _store_profile(self, job: Job,
@@ -781,6 +841,67 @@ def _stream_head(status: int = 200) -> bytes:
             "Connection: close\r\n\r\n").encode("latin-1")
 
 
+def _wait_s(query: dict[str, str]) -> float:
+    """The ``?wait=S`` of a job request: 0 when absent, capped."""
+    raw = query.get("wait") or "0"
+    try:
+        wait_s = float(raw)
+    except ValueError:
+        raise _BadRequest(f"wait must be a number, got {raw!r}") from None
+    if not math.isfinite(wait_s) or wait_s < 0:
+        raise _BadRequest(f"wait must be >= 0 seconds, got {raw!r}")
+    return min(wait_s, MAX_WAIT_S)
+
+
+class _JobWatch:
+    """A parked request's wake-up: set on every change of one job.
+
+    Registered through :meth:`Job.watch`; the thread that records a
+    job event hands the wake-up to the loop with
+    ``call_soon_threadsafe``.  A pending read on the request stream
+    doubles as hang-up detection: a client that disconnects mid-wait
+    releases its watcher at once, not when the wait runs out.
+    """
+
+    def __init__(self, job: Job, reader: asyncio.StreamReader) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._wake = asyncio.Event()
+        self._unwatch = job.watch(self._notify)
+        self._hangup = self._loop.create_task(reader.read(1))
+        self._hangup.add_done_callback(self._hung_up)
+
+    def _notify(self) -> None:
+        try:
+            self._loop.call_soon_threadsafe(self._wake.set)
+        except RuntimeError:
+            pass  # the loop is closed: nobody is parked any more
+
+    def _hung_up(self, task: asyncio.Task) -> None:
+        if not task.cancelled():
+            task.exception()  # retrieved: a reset is just a hang-up
+        self._wake.set()
+
+    @property
+    def hung_up(self) -> bool:
+        return self._hangup.done()
+
+    def wake(self) -> None:
+        self._wake.set()
+
+    async def changed(self, timeout_s: float) -> bool:
+        """Wait for the next wake-up; False once ``timeout_s`` ran out."""
+        try:
+            await asyncio.wait_for(self._wake.wait(), timeout_s)
+        except asyncio.TimeoutError:
+            return False
+        self._wake.clear()
+        return True
+
+    def close(self) -> None:
+        self._unwatch()
+        self._hangup.cancel()
+
+
 class ServiceServer:
     """Binds the HTTP front end to an :class:`ExperimentService`."""
 
@@ -789,6 +910,8 @@ class ServiceServer:
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
         self._stopping = asyncio.Event()
+        #: ``?wait`` requests parked on a job; stopping releases them.
+        self._parked: set[_JobWatch] = set()
 
     # -- lifecycle ----------------------------------------------------
 
@@ -816,6 +939,8 @@ class ServiceServer:
             self.service.signalled = True
             add_counter("service.drain_signals")
         self._stopping.set()
+        for watch in self._parked:
+            watch.wake()
 
     async def _shutdown(self) -> None:
         if self._server is not None:
@@ -841,7 +966,7 @@ class ServiceServer:
             if request is None:
                 return
             try:
-                await self._route(request, writer)
+                await self._route(request, reader, writer)
             except _BadRequest as exc:
                 writer.write(_response(400, {"error": str(exc)}))
             except ReproError as exc:
@@ -858,6 +983,7 @@ class ServiceServer:
                 pass
 
     async def _route(self, request: _Request,
+                     reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
         service = self.service
         method, path = request.method, request.path
@@ -911,7 +1037,7 @@ class ServiceServer:
             return
 
         if path.startswith("/v1/jobs/"):
-            await self._route_job(request, writer)
+            await self._route_job(request, reader, writer)
             return
 
         if path == "/v1/stats" and method == "GET":
@@ -977,6 +1103,7 @@ class ServiceServer:
             "error": f"no route for {method} {path}"}))
 
     async def _route_job(self, request: _Request,
+                         reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
         service = self.service
         parts = request.path.split("/")  # '', 'v1', 'jobs', id[, sub]
@@ -989,6 +1116,9 @@ class ServiceServer:
             return
 
         if sub is None and request.method == "GET":
+            wait_s = _wait_s(request.query)
+            if wait_s > 0 and not job.terminal:
+                await self._await_terminal(job, reader, wait_s)
             writer.write(_response(200, job.to_json_dict()))
             return
 
@@ -998,7 +1128,7 @@ class ServiceServer:
             except ValueError:
                 raise _BadRequest("since must be an integer") from None
             await self._stream_events(
-                job, writer,
+                job, reader, writer,
                 follow=request.query.get("follow") in ("1", "true"),
                 since=since)
             return
@@ -1047,34 +1177,63 @@ class ServiceServer:
         writer.write(_response(405, {
             "error": f"no route for {request.method} {request.path}"}))
 
+    async def _await_terminal(self, job: Job,
+                              reader: asyncio.StreamReader,
+                              wait_s: float) -> None:
+        """Park until the job is terminal, ``wait_s`` runs out, the
+        client hangs up, or the server starts stopping."""
+        watch = _JobWatch(job, reader)
+        self._parked.add(watch)
+        deadline = time.monotonic() + wait_s
+        try:
+            while not (job.terminal or watch.hung_up
+                       or self._stopping.is_set()):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not await watch.changed(remaining):
+                    return
+        finally:
+            self._parked.discard(watch)
+            watch.close()
+
     async def _stream_events(self, job: Job,
+                             reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter,
                              follow: bool, since: int = 0) -> None:
         """Stream events as JSONL, optionally skipping ``seq < since``.
 
         ``since`` is what lets a reconnecting follower resume where its
         dropped connection left off instead of re-reading (and
-        re-yielding) the whole history.
+        re-yielding) the whole history.  A follower sleeps on the job's
+        wake-up between batches, so each event goes out as it happens;
+        the :data:`MAX_WAIT_S` timeout only re-checks the job.
         """
         writer.write(_stream_head())
         sent = max(0, since)
-        while True:
-            with job.lock:
-                fresh = [event for event in job.events
-                         if event["seq"] >= sent]
-            for event in fresh:
-                writer.write(
-                    (json.dumps(json_safe(event), sort_keys=True)
-                     + "\n").encode("utf-8"))
-            if fresh:
-                sent = fresh[-1]["seq"] + 1
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                return
-            if not follow or job.terminal:
-                return
-            await asyncio.sleep(0.05)
+        watch = _JobWatch(job, reader) if follow else None
+        try:
+            while True:
+                # State and events are read together: a terminal state
+                # is only visible once its event is in the list.
+                with job.lock:
+                    terminal = job.terminal
+                    fresh = [event for event in job.events
+                             if event["seq"] >= sent]
+                for event in fresh:
+                    writer.write(
+                        (json.dumps(json_safe(event), sort_keys=True)
+                         + "\n").encode("utf-8"))
+                if fresh:
+                    sent = fresh[-1]["seq"] + 1
+                try:
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    return
+                if watch is None or terminal or watch.hung_up:
+                    return
+                await watch.changed(MAX_WAIT_S)
+        finally:
+            if watch is not None:
+                watch.close()
 
 
 async def _serve(config: ServiceConfig,

@@ -12,7 +12,9 @@ record appends a :class:`JobEvent` to the job's in-memory event list
 *and* to a per-job JSONL event file under the service directory, so
 clients can stream progress (``GET /v1/jobs/<id>/events``) and a
 crashed daemon leaves an audit trail next to the engine's own run
-journal.
+journal.  :meth:`Job.watch` registers a callback that every new event
+fires, which is how parked HTTP requests (``?wait=S`` and
+``?follow=1``) wake the moment a job changes instead of polling.
 
 Events are plain dicts on the wire::
 
@@ -32,7 +34,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.obs import wall_now
@@ -300,26 +302,68 @@ class Job:
     #: it (assigned by the daemon; None in unit tests).
     wal: Any = None
     lock: threading.Lock = field(default_factory=threading.Lock)
+    #: Change callbacks registered with :meth:`watch`.
+    _watchers: list[Callable[[], None]] = field(
+        default_factory=list, init=False, repr=False)
 
     def add_event(self, kind: str, **data: Any) -> dict:
         """Record one lifecycle/progress event (thread-safe)."""
         with self.lock:
-            event = {"seq": len(self.events), "ts": wall_now(),
-                     "event": kind, "job": self.id, **data}
-            if self.spec.trace_id is not None:
-                event.setdefault("trace_id", self.spec.trace_id)
-            self.events.append(event)
-        self.event_log.append(event)
+            event, watchers = self._append_event(kind, data)
+        self._publish(event, watchers)
         return event
+
+    def _append_event(self, kind: str, data: dict
+                      ) -> tuple[dict, list[Callable[[], None]]]:
+        """Append under ``lock``; returns the event and who to notify."""
+        event = {"seq": len(self.events), "ts": wall_now(),
+                 "event": kind, "job": self.id, **data}
+        if self.spec.trace_id is not None:
+            event.setdefault("trace_id", self.spec.trace_id)
+        self.events.append(event)
+        return event, list(self._watchers)
+
+    def _publish(self, event: dict,
+                 watchers: list[Callable[[], None]]) -> None:
+        """Persist a visible event, then wake its watchers (no lock)."""
+        self.event_log.append(event)
+        for notify in watchers:
+            notify()
+
+    def watch(self, notify: Callable[[], None]) -> Callable[[], None]:
+        """Call ``notify()`` after every new event; returns the undo.
+
+        ``notify`` runs on whichever thread records the event, after
+        the event (and a transition's new state) is visible, so it
+        must be quick and must not raise.
+        """
+        with self.lock:
+            self._watchers.append(notify)
+
+        def unwatch() -> None:
+            with self.lock:
+                if notify in self._watchers:
+                    self._watchers.remove(notify)
+        return unwatch
 
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
     def transition(self, state: str, **data: Any) -> None:
-        """Move to ``state`` and log the transition event."""
+        """Journal, then move to ``state`` and log the event.
+
+        The WAL record comes first, and the new state and its event
+        become visible together under ``lock``: a reader that sees a
+        terminal state also sees the terminal event.
+        """
         if state not in JOB_STATES:
             raise ReproError(f"unknown job state {state!r}")
+        if self.wal is not None:
+            self.wal.log_state(
+                self.id, state, reason=data.get("reason", self.reason),
+                error=data.get("error", self.error),
+                recovery_attempts=self.recovery_attempts)
         with self.lock:
             self.state = state
             if state == JOB_RUNNING:
@@ -328,12 +372,8 @@ class Job:
                 self.finished_at = wall_now()
             if "reason" in data:
                 self.reason = data["reason"]
-        if self.wal is not None:
-            self.wal.log_state(
-                self.id, state, reason=self.reason,
-                error=data.get("error", self.error),
-                recovery_attempts=self.recovery_attempts)
-        self.add_event(state, **data)
+            event, watchers = self._append_event(state, data)
+        self._publish(event, watchers)
 
     def queue_wait_s(self) -> float | None:
         if self.started_at is None:

@@ -780,6 +780,38 @@ def test_claim_holder_identifies_this_process(tmp_path):
     assert not ResultCache.claim_is_stale(holder)
 
 
+def test_a_claim_is_never_visible_without_its_holder(tmp_path):
+    """A waiter reading a claim mid-creation must not see a holderless
+    (and therefore stale) claim, or it breaks a live lease."""
+    import os
+    import sys
+    import threading
+
+    cache = _claims_cache(tmp_path)
+    seen = []
+    done = threading.Event()
+
+    def reader():
+        while not done.is_set():
+            holder = cache.claim_holder("E-T1", "f" * 64)
+            if holder is not None:
+                seen.append(holder.pid)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        for _ in range(300):
+            assert cache.claim("E-T1", "f" * 64) is True
+            cache.release_claim("E-T1", "f" * 64)
+    finally:
+        done.set()
+        thread.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert set(seen) <= {os.getpid()}
+
 def test_dead_holder_claim_is_stale_and_breakable(tmp_path):
     import multiprocessing
     import socket
