@@ -7,13 +7,20 @@ The scheduler executes any subset of the experiment registry with
   per-experiment **timeout** that actually kills the worker, and
   **bounded retries** spaced by exponential backoff with deterministic
   jitter (:class:`~repro.reliability.backoff.BackoffPolicy`);
+* **one streaming worker protocol**: every launch runs a list of
+  tasks -- a single task is a chunk of one -- and the worker sends
+  each task's outcome as soon as it finishes.  The parent waits on
+  the workers' pipes and exit sentinels together, storing each result
+  as it arrives, so a result of any size gets through (a worker never
+  blocks on a full pipe that nobody reads).  Each task gets its own
+  ``timeout_s``, counted from the launch for the first task and from
+  the previous outcome for each later one;
 * **adaptive chunking** for large sweeps: when pending work exceeds
   roughly four tasks per worker, fresh tasks are grouped into one
   worker launch (:attr:`EngineConfig.chunk_size`; ``None`` adapts,
-  an explicit value pins it) to amortise fork cost, with per-task
-  outcome streaming so a crash mid-chunk only retries -- singly --
-  the tasks the worker never finished.  Retries and fault-plan runs
-  are never chunked;
+  an explicit value pins it) to amortise fork cost; a crash mid-chunk
+  only retries -- singly -- the tasks the worker never reported.
+  Retries and fault-plan runs are never chunked;
 * **failure isolation**: a crashing, raising, or hanging runner yields
   a failed/timeout :class:`~repro.engine.records.RunRecord` while the
   rest of the sweep completes;
@@ -30,7 +37,9 @@ The scheduler executes any subset of the experiment registry with
   chunks finish and store their results, never-launched tasks settle
   as ``cancelled`` records, and the journal is flushed on the normal
   exit path.  :attr:`SweepResult.interrupted` reports it and the CLI
-  maps it to a distinct exit code;
+  maps it to a distinct exit code.  Workers ignore SIGINT, so a
+  terminal Ctrl-C drains them rather than killing them, and take
+  SIGTERM's default action, so a timeout kill is immediate;
 * a JSONL **run journal** plus an aggregate
   :class:`~repro.engine.metrics.EngineMetrics` summary;
 * an optional **fault-injection hook**: when
@@ -59,9 +68,11 @@ Observability: when a :class:`repro.obs.Trace` is active (the
 task's lookup / run / store phase and accumulates the same phases on
 every :class:`RunRecord` (``phases`` maps phase name to seconds; the
 ``queue`` and ``retry`` entries measure *waiting*, everything else is
-active work summing to ``wall_time_s``).  Worker processes build their
-own trace and ship it back over the result pipe, so solver spans from
-inside an experiment land in the sweep trace with the worker's pid.
+active work summing to ``wall_time_s``; a task's ``run`` phase is the
+time from the launch or the previous outcome to its own).  Worker
+processes build their own trace and ship it back over the result pipe,
+so solver spans from inside an experiment land in the sweep trace with
+the worker's pid.
 """
 
 from __future__ import annotations
@@ -294,92 +305,66 @@ def _mp_context() -> multiprocessing.context.BaseContext:
         "fork" if "fork" in methods else "spawn")
 
 
-def _worker_entry(experiment_id: str, conn,
-                  fault: FaultSpec | None = None,
+def _worker_entry(tasks: Sequence[tuple[str, FaultSpec | None]], conn,
                   traced: bool = False,
                   context: dict | None = None) -> None:
-    """Child-process body: run one experiment, ship back the outcome.
+    """Child-process body: run ``(experiment_id, fault)`` pairs in turn.
 
-    With ``traced`` set, the worker records its own trace (a forked
-    parent trace would be a dead copy) and ships the span/counter
-    payload alongside the result so the parent can merge it.
-    ``context`` is the parent's correlation-field snapshot
-    (thread-local state does not survive fork from a non-main thread),
-    re-installed so worker spans and log records carry the job's ids.
+    One ``("task", id, status, value, duration)`` message is shipped per
+    experiment as soon as it finishes, so the parent stores each result
+    while the rest still run and a crash costs only the unreported
+    tasks.  A trailing ``("done", payload)`` carries the worker trace
+    (recorded only with ``traced`` set: a forked parent trace would be
+    a dead copy).  ``context`` is the parent's correlation-field
+    snapshot (thread-local state does not survive fork from a non-main
+    thread), re-installed so worker spans and log records carry the
+    job's ids.
     """
+    # The parent's handlers must not fire here: SIGTERM is how the
+    # parent kills a worker, SIGINT (a terminal Ctrl-C) must not cut
+    # a drain short, and an inherited wakeup fd would report the
+    # worker's signals to the parent's event loop.
+    signal_module.signal(signal_module.SIGTERM, signal_module.SIG_DFL)
+    signal_module.signal(signal_module.SIGINT, signal_module.SIG_IGN)
+    signal_module.set_wakeup_fd(-1)
     reset_tracing()  # a trace inherited over fork would swallow spans
     if context:
         set_trace_context(**context)
-    child_trace = Trace(f"worker-{experiment_id}") if traced else None
+    child_trace = Trace(f"worker-{tasks[0][0]}") if traced else None
     if child_trace is not None:
         activate(child_trace)
-    payload = None
-    try:
-        apply_runner_fault(fault, allow_exit=True)
-        from repro.analysis.experiments import EXPERIMENTS
-        with span("worker.run", experiment=experiment_id):
-            result = EXPERIMENTS[experiment_id].runner()
-        if child_trace is not None:
-            # The forked worker *is* the task, so its lifetime peaks
-            # are the task's cost; the parent max-merges the RSS gauge
-            # into the sweep-wide worker peak.
-            record_resource_metrics(child_trace.metrics, scope="task")
-            payload = child_trace.to_payload()
-        conn.send(("ok", result, payload))
-    except BaseException as exc:  # must cross the process boundary
-        try:
-            if child_trace is not None:
-                payload = child_trace.to_payload()
-            conn.send(("error", repr(exc), payload))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def _worker_chunk_entry(experiment_ids: Sequence[str], conn,
-                        traced: bool = False,
-                        context: dict | None = None) -> None:
-    """Child-process body for a chunk: run several experiments in turn.
-
-    One outcome message is shipped per experiment as it finishes, so a
-    crash mid-chunk costs only the unfinished tasks -- the parent
-    retries exactly those, singly.  A trailing ``("done", payload)``
-    carries the worker trace for the whole chunk.
-    """
-    reset_tracing()
-    if context:
-        set_trace_context(**context)
-    child_trace = (Trace(f"worker-chunk-{experiment_ids[0]}")
-                   if traced else None)
-    if child_trace is not None:
-        activate(child_trace)
+    chunked = {"chunked": True} if len(tasks) > 1 else {}
     try:
         from repro.analysis.experiments import EXPERIMENTS
-        for experiment_id in experiment_ids:
+        for experiment_id, fault in tasks:
             start = time.monotonic()
             try:
+                apply_runner_fault(fault, allow_exit=True)
                 with span("worker.run", experiment=experiment_id,
-                          chunked=True):
+                          **chunked):
                     result = EXPERIMENTS[experiment_id].runner()
                 conn.send(("task", experiment_id, STATUS_OK, result,
                            time.monotonic() - start))
-            except Exception as exc:
+            except BaseException as exc:  # must cross the process boundary
                 conn.send(("task", experiment_id, STATUS_FAILED,
                            repr(exc), time.monotonic() - start))
         payload = None
         if child_trace is not None:
+            # The forked worker's lifetime peaks are its tasks' cost;
+            # the parent max-merges the RSS gauge into the sweep-wide
+            # worker peak.
             record_resource_metrics(child_trace.metrics, scope="task")
             payload = child_trace.to_payload()
         conn.send(("done", payload))
-    except BaseException:  # must not escape the process boundary
-        try:
-            conn.send(("done", child_trace.to_payload()
-                       if child_trace is not None else None))
-        except Exception:
-            pass
+    except BaseException:  # the parent is gone; nobody is listening
+        pass
     finally:
         conn.close()
+
+
+#: ``perfbench/layers.py`` looks both names up to wrap the worker body;
+#: delete this alias once it names only ``_worker_entry``.
+_worker_chunk_entry = _worker_entry
 
 
 @dataclass
@@ -409,20 +394,14 @@ class _Task:
 
 @dataclass
 class _Slot:
-    task: _Task
+    """One worker process running ``tasks`` in order."""
+
+    tasks: deque[_Task]  # not yet reported, in run order
     process: multiprocessing.process.BaseProcess
     conn: Any
-    deadline: float | None
     launched: float
-
-
-@dataclass
-class _ChunkSlot:
-    tasks: list[_Task]
-    process: multiprocessing.process.BaseProcess
-    conn: Any
-    deadline: float | None
-    launched: float
+    mark: float  # monotonic time of the launch or the latest outcome
+    chunked: dict[str, bool]  # span attributes of a multi-task launch
 
 
 class ExecutionEngine:
@@ -593,14 +572,12 @@ class ExecutionEngine:
             except Exception:
                 pass
 
-    def _abort_all(self, running: list, pending: deque[_Task],
+    def _abort_all(self, running: list[_Slot], pending: deque[_Task],
                    records: dict[str, RunRecord]) -> None:
         """Tear down every slot and settle all remaining tasks."""
         for slot in running:
             self._kill(slot)
-            tasks = (slot.tasks if isinstance(slot, _ChunkSlot)
-                     else [slot.task])
-            for task in tasks:
+            for task in slot.tasks:
                 task.last_error = f"aborted: {self._abort_reason}"
                 records[task.experiment_id] = self._finalize(
                     task, STATUS_FAILED)
@@ -934,7 +911,7 @@ class ExecutionEngine:
                        results: dict[str, Any]) -> None:
         ctx = _mp_context()
         max_attempts = 1 + self.config.retries
-        running: list[_Slot | _ChunkSlot] = []
+        running: list[_Slot] = []
 
         while pending or running:
             if self._aborted:
@@ -965,27 +942,22 @@ class ExecutionEngine:
                                        + self.config.claim_poll_s)
                     deferred.append(task)
                     continue
-                if task.attempts == 0 and chunk_target > 1:
-                    batch = [task]
-                    while (len(batch) < chunk_target and pending
-                           and pending[0].attempts == 0
-                           and pending[0].not_before <= now):
-                        candidate = pending.popleft()
-                        state = self._acquire_claim(candidate, records,
-                                                    results)
-                        if state == "hit":
-                            continue
-                        if state == "wait":
-                            candidate.not_before = (
-                                time.monotonic()
-                                + self.config.claim_poll_s)
-                            deferred.append(candidate)
-                            continue
-                        batch.append(candidate)
-                    if len(batch) > 1:
-                        running.append(self._launch_chunk(ctx, batch))
+                batch = [task]
+                while (task.attempts == 0 and len(batch) < chunk_target
+                       and pending and pending[0].attempts == 0
+                       and pending[0].not_before <= now):
+                    candidate = pending.popleft()
+                    state = self._acquire_claim(candidate, records,
+                                                results)
+                    if state == "hit":
                         continue
-                running.append(self._launch(ctx, task))
+                    if state == "wait":
+                        candidate.not_before = (
+                            time.monotonic() + self.config.claim_poll_s)
+                        deferred.append(candidate)
+                        continue
+                    batch.append(candidate)
+                running.append(self._launch(ctx, batch))
             pending.extendleft(reversed(deferred))
 
             if not running:
@@ -1006,31 +978,31 @@ class ExecutionEngine:
             # Capped so a cross-thread abort() takes effect promptly
             # even when no per-task deadline is armed.
             timeout = 0.5 if timeout is None else min(timeout, 0.5)
+            # Waiting on the pipes as well as the sentinels lets a
+            # worker blocked on a full pipe hand over a result of any
+            # size.
             ready = set(_connection_wait(
-                [slot.process.sentinel for slot in running],
+                [slot.conn for slot in running]
+                + [slot.process.sentinel for slot in running],
                 timeout=timeout))
-            now = time.monotonic()
 
-            still_running: list[_Slot | _ChunkSlot] = []
+            still_running: list[_Slot] = []
             for slot in running:
-                timed_out = (slot.process.sentinel not in ready
-                             and slot.process.is_alive()
-                             and slot.deadline is not None
-                             and now >= slot.deadline)
-                done = (slot.process.sentinel in ready
-                        or not slot.process.is_alive())
-                if not (done or timed_out):
-                    still_running.append(slot)
-                    continue
-                if timed_out:
+                exited = slot.process.sentinel in ready
+                if exited or slot.conn in ready:
+                    finished = self._drain(slot, pending, records,
+                                           results, max_attempts)
+                    if finished or exited:
+                        self._retire(slot, pending, records, results,
+                                     max_attempts, timed_out=False)
+                        continue
+                deadline = self._deadline(slot)
+                if deadline is not None and time.monotonic() >= deadline:
                     self._kill(slot)
-                if isinstance(slot, _ChunkSlot):
-                    self._collect_chunk(slot, pending, records, results,
-                                        max_attempts,
-                                        timed_out=timed_out)
-                else:
-                    self._collect(slot, pending, records, results,
-                                  max_attempts, timed_out=timed_out)
+                    self._retire(slot, pending, records, results,
+                                 max_attempts, timed_out=True)
+                    continue
+                still_running.append(slot)
             running = still_running
 
     def _chunk_target(self, n_pending: int) -> int:
@@ -1048,225 +1020,148 @@ class ExecutionEngine:
             return self.config.chunk_size
         return min(8, max(1, n_pending // (self.config.jobs * 4)))
 
-    def _launch(self, ctx, task: _Task) -> _Slot:
-        launched = time.monotonic()
-        if task.attempts == 0:
-            task.started_at = wall_now()
-        if task.ready_at:
-            # Split the wait since the task became runnable into the
-            # deliberate backoff window (retry) and slot contention
-            # (queue).
-            waited = max(0.0, launched - task.ready_at)
-            backoff_s = (min(waited,
-                             max(0.0, task.not_before - task.ready_at))
-                         if task.attempts > 0 else 0.0)
-            task.add_phase("retry", backoff_s)
-            task.add_phase("queue", waited - backoff_s)
-        task.attempts += 1
-        fault = self._runner_fault(task)
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_worker_entry,
-            args=(task.experiment_id, child_conn, fault,
-                  tracing_enabled(), context_fields() or None),
-            name=f"repro-engine-{task.experiment_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        deadline = (launched + self.config.timeout_s
-                    if self.config.timeout_s is not None else None)
-        return _Slot(task=task, process=process, conn=parent_conn,
-                     deadline=deadline, launched=launched)
-
-    def _launch_chunk(self, ctx, batch: list[_Task]) -> _ChunkSlot:
+    def _launch(self, ctx, batch: list[_Task]) -> _Slot:
         launched = time.monotonic()
         for task in batch:
-            task.started_at = wall_now()
+            if task.attempts == 0:
+                task.started_at = wall_now()
             if task.ready_at:
-                # Fresh tasks only (attempts == 0): the whole wait since
-                # becoming runnable is slot contention.
-                task.add_phase("queue", max(0.0, launched - task.ready_at))
+                # Split the wait since the task became runnable into the
+                # deliberate backoff window (retry) and slot contention
+                # (queue).
+                waited = max(0.0, launched - task.ready_at)
+                backoff_s = (min(waited, max(0.0, task.not_before
+                                             - task.ready_at))
+                             if task.attempts > 0 else 0.0)
+                task.add_phase("retry", backoff_s)
+                task.add_phase("queue", waited - backoff_s)
             task.attempts += 1
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
-            target=_worker_chunk_entry,
-            args=([task.experiment_id for task in batch], child_conn,
+            target=_worker_entry,
+            args=([(task.experiment_id, self._runner_fault(task))
+                   for task in batch], child_conn,
                   tracing_enabled(), context_fields() or None),
-            name=f"repro-engine-chunk-{batch[0].experiment_id}",
+            name=f"repro-engine-{batch[0].experiment_id}",
             daemon=True,
         )
         process.start()
         child_conn.close()
-        # The per-experiment budget applies to each task in the chunk.
-        deadline = (launched + self.config.timeout_s * len(batch)
-                    if self.config.timeout_s is not None else None)
-        add_counter("engine.chunks")
-        observe("engine.chunk_size", len(batch), COUNT_BUCKETS)
-        return _ChunkSlot(tasks=batch, process=process,
-                          conn=parent_conn, deadline=deadline,
-                          launched=launched)
+        if len(batch) > 1:
+            add_counter("engine.chunks")
+            observe("engine.chunk_size", len(batch), COUNT_BUCKETS)
+        return _Slot(tasks=deque(batch), process=process,
+                     conn=parent_conn, launched=launched, mark=launched,
+                     chunked={"chunked": True} if len(batch) > 1 else {})
 
-    @staticmethod
-    def _poll_timeout(running: list["_Slot | _ChunkSlot"],
+    def _deadline(self, slot: _Slot) -> float | None:
+        """When the slot's running task exceeds its own ``timeout_s``."""
+        if self.config.timeout_s is None:
+            return None
+        return slot.mark + self.config.timeout_s
+
+    def _poll_timeout(self, running: list[_Slot],
                       waiting: Sequence[_Task] = ()) -> float | None:
-        wakes = [slot.deadline for slot in running
-                 if slot.deadline is not None]
+        wakes = [self._deadline(slot) for slot in running]
+        wakes = [wake for wake in wakes if wake is not None]
         wakes += [task.not_before for task in waiting]
         if not wakes:
             return None
         return max(0.0, min(wakes) - time.monotonic()) + 0.01
 
     @staticmethod
-    def _kill(slot: "_Slot | _ChunkSlot") -> None:
+    def _kill(slot: _Slot) -> None:
         slot.process.terminate()
         slot.process.join(timeout=5.0)
         if slot.process.is_alive():
             slot.process.kill()
             slot.process.join(timeout=5.0)
 
-    def _collect(self, slot: _Slot, pending: deque[_Task],
-                 records: dict[str, RunRecord],
-                 results: dict[str, Any],
-                 max_attempts: int, timed_out: bool) -> None:
-        task = slot.task
-        run_s = time.monotonic() - slot.launched
-        task.add_phase("run", run_s)
-        record_span("engine.run", slot.launched, run_s,
-                    experiment=task.experiment_id,
-                    attempt=task.attempts, worker_pid=slot.process.pid,
-                    timed_out=timed_out)
+    def _drain(self, slot: _Slot, pending: deque[_Task],
+               records: dict[str, RunRecord], results: dict[str, Any],
+               max_attempts: int) -> bool:
+        """Settle every outcome the worker has sent so far.
 
-        outcome: tuple | None = None
-        if not timed_out:
-            try:
-                if slot.conn.poll(0):
-                    outcome = slot.conn.recv()
-            except (EOFError, OSError):
-                outcome = None
-        slot.process.join(timeout=5.0)
-        slot.conn.close()
-
-        if outcome is not None and len(outcome) > 2 and outcome[2]:
-            trace = current_trace()
-            if trace is not None:
-                trace.merge_payload(outcome[2])
-
-        if timed_out:
-            add_counter("engine.timeouts")
-            task.last_error = (
-                f"timeout: exceeded {self.config.timeout_s:.1f} s")
-            _log.warning("task.timeout",
-                         experiment=task.experiment_id,
-                         attempt=task.attempts,
-                         timeout_s=self.config.timeout_s)
-        elif outcome is not None and outcome[0] == "ok":
-            self._store(task, outcome[1])
-            results[task.experiment_id] = outcome[1]
-            records[task.experiment_id] = self._finalize(
-                task, STATUS_OK)
-            self._beat()
-            return
-        elif outcome is not None:
-            task.last_error = outcome[1]
-        else:
-            task.last_error = (
-                f"worker died without a result "
-                f"(exit code {slot.process.exitcode})")
-            _log.warning("task.worker_died",
-                         experiment=task.experiment_id,
-                         attempt=task.attempts,
-                         exit_code=slot.process.exitcode)
-
-        if task.attempts < max_attempts:
-            self._schedule_retry(task, pending)
-            return
-        status = STATUS_TIMEOUT if timed_out else STATUS_FAILED
-        records[task.experiment_id] = self._finalize(task, status)
-
-    def _collect_chunk(self, slot: _ChunkSlot, pending: deque[_Task],
-                       records: dict[str, RunRecord],
-                       results: dict[str, Any],
-                       max_attempts: int, timed_out: bool) -> None:
-        """Drain a chunk worker's per-task outcomes and settle each task.
-
-        Tasks the worker finished are stored/recorded exactly as in the
-        single-task path; tasks it never reached (crash, exit, or the
-        chunk deadline) are retried individually, so one bad task in a
-        chunk cannot take its neighbours' results down with it.
+        Returns True once the worker is finished: it sent ``done`` (its
+        trace payload is merged) or its pipe reached EOF.
         """
-        elapsed = time.monotonic() - slot.launched
-        outcomes: dict[str, tuple[str, Any, float]] = {}
-        payload = None
         try:
             while slot.conn.poll(0):
                 message = slot.conn.recv()
-                if message[0] == "task":
-                    _, experiment_id, status, value, duration = message
-                    outcomes[experiment_id] = (status, value, duration)
-                elif message[0] == "done":
-                    payload = message[1]
+                if message[0] == "done":
+                    trace = current_trace()
+                    if trace is not None and message[1]:
+                        trace.merge_payload(message[1])
+                    return True
+                _, _, status, value, _ = message
+                now = time.monotonic()
+                self._settle(slot, slot.tasks.popleft(), now - slot.mark,
+                             status, value, pending, records, results,
+                             max_attempts)
+                slot.mark = now
         except (EOFError, OSError):
-            pass
+            return True
+        return False
+
+    def _retire(self, slot: _Slot, pending: deque[_Task],
+                records: dict[str, RunRecord], results: dict[str, Any],
+                max_attempts: int, timed_out: bool) -> None:
+        """Reap a finished or killed worker and settle what it left.
+
+        The first unreported task was running since the previous
+        outcome; any after it never started.  Each is retried singly
+        while attempts remain.
+        """
         slot.process.join(timeout=5.0)
         slot.conn.close()
-
-        if payload:
-            trace = current_trace()
-            if trace is not None:
-                trace.merge_payload(payload)
-
-        accounted = sum(duration for _, _, duration
-                        in outcomes.values())
-        unfinished = [task for task in slot.tasks
-                      if task.experiment_id not in outcomes]
-        # Telemetry only: split the unattributed tail of the chunk's
-        # wall time evenly over the tasks that never reported.
-        residual = (max(0.0, elapsed - accounted)
-                    / max(1, len(unfinished)))
-
-        for task in slot.tasks:
-            outcome = outcomes.get(task.experiment_id)
-            if outcome is not None:
-                status, value, duration = outcome
-                task.add_phase("run", duration)
-                record_span("engine.run", slot.launched, duration,
-                            experiment=task.experiment_id,
-                            attempt=task.attempts,
-                            worker_pid=slot.process.pid, chunked=True,
-                            timed_out=False)
-                if status == STATUS_OK:
-                    self._store(task, value)
-                    results[task.experiment_id] = value
-                    records[task.experiment_id] = self._finalize(
-                        task, STATUS_OK)
-                    self._beat()
-                    continue
-                task.last_error = value
+        if timed_out:
+            status = STATUS_TIMEOUT
+            error = f"timeout: exceeded {self.config.timeout_s:.1f} s"
+        else:
+            status = STATUS_FAILED
+            error = (f"worker died without a result "
+                     f"(exit code {slot.process.exitcode})")
+        run_s = time.monotonic() - slot.mark
+        while slot.tasks:
+            task = slot.tasks.popleft()
+            if timed_out:
+                add_counter("engine.timeouts")
+                _log.warning("task.timeout", experiment=task.experiment_id,
+                             attempt=task.attempts,
+                             timeout_s=self.config.timeout_s)
             else:
-                task.add_phase("run", residual)
-                record_span("engine.run", slot.launched, residual,
-                            experiment=task.experiment_id,
-                            attempt=task.attempts,
-                            worker_pid=slot.process.pid, chunked=True,
-                            timed_out=timed_out)
-                if timed_out:
-                    add_counter("engine.timeouts")
-                    task.last_error = (
-                        f"timeout: chunk of {len(slot.tasks)} exceeded "
-                        f"{elapsed:.1f} s")
-                else:
-                    task.last_error = (
-                        f"worker exited before a result "
-                        f"(exit code {slot.process.exitcode})")
-            if task.attempts < max_attempts:
-                self._schedule_retry(task, pending)
-            else:
-                status_final = (STATUS_TIMEOUT
-                                if timed_out and outcome is None
-                                else STATUS_FAILED)
-                records[task.experiment_id] = self._finalize(
-                    task, status_final)
+                _log.warning("task.worker_died",
+                             experiment=task.experiment_id,
+                             attempt=task.attempts,
+                             exit_code=slot.process.exitcode)
+            self._settle(slot, task, run_s, status, error, pending,
+                         records, results, max_attempts)
+            run_s = 0.0
+
+    def _settle(self, slot: _Slot, task: _Task, run_s: float,
+                status: str, value: Any, pending: deque[_Task],
+                records: dict[str, RunRecord], results: dict[str, Any],
+                max_attempts: int) -> None:
+        """Record one attempt's outcome: store it, retry it, or fail it.
+
+        ``value`` is the result for ``ok`` and the error otherwise.
+        """
+        task.add_phase("run", run_s)
+        record_span("engine.run", slot.launched, run_s,
+                    experiment=task.experiment_id, attempt=task.attempts,
+                    worker_pid=slot.process.pid, **slot.chunked,
+                    timed_out=status == STATUS_TIMEOUT)
+        if status == STATUS_OK:
+            self._store(task, value)
+            results[task.experiment_id] = value
+            records[task.experiment_id] = self._finalize(task, STATUS_OK)
+            self._beat()
+            return
+        task.last_error = value
+        if task.attempts < max_attempts:
+            self._schedule_retry(task, pending)
+        else:
+            records[task.experiment_id] = self._finalize(task, status)
 
     def _finalize(self, task: _Task, status: str) -> RunRecord:
         self._release_claim(task)

@@ -450,6 +450,145 @@ def test_chunk_crash_retries_unfinished_singly(tmp_path, monkeypatch):
     assert sweep.results["E-DIE"] == {"value": "recovered"}
 
 
+# -- scheduler: result sizes, per-task deadlines, worker signals ------
+
+#: Straddles the ~64 KiB OS pipe buffer and reaches far past it.
+RESULT_SIZES = (1_000, 60_000, 70_000, 1_000_000, 10_000_000)
+
+
+def _blob_runner(size):
+    def runner():
+        return {"blob": b"x" * size}
+    return runner
+
+
+@pytest.mark.parametrize("chunk_size", [None, 2], ids=["single", "chunked"])
+@pytest.mark.parametrize("size", RESULT_SIZES)
+def test_result_of_any_size_returns(tmp_path, monkeypatch, size,
+                                    chunk_size):
+    ids = ["E-BLOB0", "E-BLOB1"] if chunk_size else ["E-BLOB0"]
+    for experiment_id in ids:
+        _inject(monkeypatch, experiment_id, _blob_runner(size))
+    start = time.monotonic()
+    sweep = run_experiments(ids, config=_config(
+        tmp_path, jobs=1, timeout_s=20.0, chunk_size=chunk_size))
+    assert time.monotonic() - start < 10.0
+    assert [record.status for record in sweep.records] == ["ok"] * len(ids)
+    for experiment_id in ids:
+        assert sweep.results[experiment_id] == {"blob": b"x" * size}
+
+
+def test_large_result_without_timeout_does_not_hang(tmp_path, monkeypatch):
+    import threading
+
+    _inject(monkeypatch, "E-BLOB", _blob_runner(1_000_000))
+    outcome = []
+    thread = threading.Thread(
+        target=lambda: outcome.append(run_experiments(
+            ["E-BLOB"], config=_config(tmp_path, timeout_s=None))),
+        daemon=True)
+    thread.start()
+    thread.join(timeout=30.0)
+    assert not thread.is_alive(), "sweep hung on a 1 MB result"
+    assert outcome[0].records[0].status == "ok"
+    assert outcome[0].results["E-BLOB"] == {"blob": b"x" * 1_000_000}
+
+
+def test_each_chunk_mate_gets_its_own_deadline(tmp_path, monkeypatch):
+    def steady_runner():
+        time.sleep(1.2)  # 0.6 x timeout_s: two of these overrun one budget
+        return "steady"
+
+    _inject(monkeypatch, "E-STEADY0", steady_runner)
+    _inject(monkeypatch, "E-STEADY1", steady_runner)
+    sweep = run_experiments(
+        ["E-STEADY0", "E-STEADY1"],
+        config=_config(tmp_path, jobs=1, chunk_size=2, timeout_s=2.0))
+    assert [record.status for record in sweep.records] == ["ok", "ok"]
+    assert all(record.attempts == 1 for record in sweep.records)
+
+
+def test_hang_after_fast_chunk_mate_times_out_alone(tmp_path, monkeypatch):
+    def fast_runner():
+        return {"value": "fast"}
+
+    def hung_runner():
+        time.sleep(60)
+
+    _inject(monkeypatch, "E-FAST", fast_runner)
+    _inject(monkeypatch, "E-HUNG", hung_runner)
+    config = _config(tmp_path, jobs=1, chunk_size=2, timeout_s=1.0)
+    start = time.monotonic()
+    sweep = run_experiments(["E-FAST", "E-HUNG"], config=config)
+    assert time.monotonic() - start < 1.0 + 1.5
+    by_id = {record.experiment_id: record for record in sweep.records}
+    assert by_id["E-FAST"].status == "ok"
+    assert sweep.results["E-FAST"] == {"value": "fast"}
+    assert by_id["E-HUNG"].status == "timeout"
+    assert by_id["E-HUNG"].error.startswith("timeout: exceeded 1.0 s")
+    # the fast mate's result was stored before the hung task was killed
+    warm = run_experiments(["E-FAST"], config=config)
+    assert warm.records[0].cache_hit
+
+
+def test_worker_restores_default_signal_disposition(tmp_path, monkeypatch):
+    import signal
+
+    def runner():
+        return [signal.getsignal(signal.SIGTERM),
+                signal.getsignal(signal.SIGINT)]
+
+    _inject(monkeypatch, "E-SIGNALS", runner)
+    sweep = run_experiments(
+        ["E-SIGNALS"], config=_config(tmp_path, handle_signals=True))
+    assert sweep.records[0].status == "ok"
+    assert sweep.results["E-SIGNALS"] == [signal.SIG_DFL, signal.SIG_IGN]
+
+
+def test_timeout_kill_is_prompt_and_silent_under_a_wakeup_fd(
+        tmp_path, monkeypatch):
+    """A host process (e.g. an asyncio daemon) with its own SIGTERM
+    handler and wakeup fd runs the engine on a non-main thread: killing
+    a hung worker must neither wait out the SIGTERM grace period nor
+    report the worker's signal on the host's wakeup fd."""
+    import signal
+    import socket
+    import threading
+
+    def hung_runner():
+        time.sleep(60)
+
+    _inject(monkeypatch, "E-HUNG", hung_runner)
+    reader, writer = socket.socketpair()
+    writer.setblocking(False)
+    previous_handler = signal.signal(signal.SIGTERM, lambda *_: None)
+    previous_fd = signal.set_wakeup_fd(writer.fileno())
+    try:
+        outcome = []
+        thread = threading.Thread(
+            target=lambda: outcome.append(run_experiments(
+                ["E-HUNG"], config=_config(tmp_path, timeout_s=2.0))),
+            daemon=True)
+        start = time.monotonic()
+        thread.start()
+        thread.join(timeout=30.0)
+        elapsed = time.monotonic() - start
+    finally:
+        signal.set_wakeup_fd(previous_fd)
+        signal.signal(signal.SIGTERM, previous_handler)
+    reader.setblocking(False)
+    try:
+        written = reader.recv(64)
+    except BlockingIOError:
+        written = b""
+    finally:
+        reader.close()
+        writer.close()
+    assert outcome and outcome[0].records[0].status == "timeout"
+    assert elapsed < 2.0 + 1.5
+    assert written == b""
+
+
 # -- scheduler: API surface -------------------------------------------
 
 
