@@ -105,10 +105,12 @@ class Netlist:
                                           * record.wire_cap_ff_per_um)
         self.wire_cap_per_net_f = wire_cap_per_net_f
         self.primary_inputs: list[str] = []
+        self._input_set: set[str] = set()
         self.instances: dict[str, Instance] = {}
         self.primary_outputs: list[str] = []
         self._output_set: set[str] = set()
         self._fanouts: dict[str, list[str]] = {}
+        self._unit_device, self._unit_cap_f = None, 0.0
 
     # --- construction ------------------------------------------------------
 
@@ -117,6 +119,7 @@ class Netlist:
         if name in self.instances or name in self._fanouts:
             raise NetlistError(f"name {name!r} already used")
         self.primary_inputs.append(name)
+        self._input_set.add(name)
         self._fanouts[name] = []
 
     def add_instance(self, name: str, cell: Cell,
@@ -169,19 +172,20 @@ class Netlist:
 
     def is_primary_input(self, name: str) -> bool:
         """True when ``name`` is a PI terminal."""
-        return name in set(self.primary_inputs)
+        return name in self._input_set
 
-    def load_f(self, name: str) -> float:
+    def load_f(self, name: str,
+               input_caps: dict[str, float] | None = None) -> float:
         """Capacitive load on an instance's output net [F].
 
         Sink pin capacitances (with their re-sizing factors) plus the
         per-net wire capacitance, plus the level-converter input when one
-        is present.
+        is present.  Bulk callers pass precomputed pin ``input_caps``.
         """
         load = self.wire_cap_per_net_f
         for sink_name in self._fanouts[name]:
-            sink = self.instances[sink_name]
-            load += sink.model().input_cap_f
+            load += (self.instances[sink_name].model().input_cap_f
+                     if input_caps is None else input_caps[sink_name])
         if name in self.instances and name in self._output_set:
             load += FLOP_LOAD_FACTOR * self._unit_input_cap()
         instance = self.instances.get(name)
@@ -196,9 +200,11 @@ class Netlist:
         return lc_cap_factor(ratio) * self._unit_input_cap()
 
     def _unit_input_cap(self) -> float:
-        any_instance = next(iter(self.instances.values()))
-        unit = GateModel(any_instance.cell.device)
-        return unit.input_cap_f
+        device = next(iter(self.instances.values())).cell.device
+        if device is not self._unit_device:
+            self._unit_device = device
+            self._unit_cap_f = GateModel(device).input_cap_f
+        return self._unit_cap_f
 
     def gate_delay_s(self, name: str) -> float:
         """Delay of one instance into its current load [s]."""
@@ -208,38 +214,6 @@ class Netlist:
         if instance.level_converter:
             delay *= lc_delay_factor(vdd / self.nominal_vdd_v)
         return delay
-
-    def gate_delays(self) -> dict[str, float]:
-        """Delay of every instance into its current load, in bulk [s].
-
-        Identical arithmetic to calling :meth:`gate_delay_s` per name --
-        sink pin capacitances accumulate onto the wire capacitance in
-        fanout order -- but each instance's gate model and input
-        capacitance are evaluated once instead of once per fanout edge,
-        which is what makes full-netlist timing passes scale.
-        """
-        if not self.instances:
-            return {}
-        models = {name: instance.model()
-                  for name, instance in self.instances.items()}
-        input_caps = {name: model.input_cap_f
-                      for name, model in models.items()}
-        unit_cap = self._unit_input_cap()
-        delays: dict[str, float] = {}
-        for name, instance in self.instances.items():
-            load = self.wire_cap_per_net_f
-            for sink_name in self._fanouts[name]:
-                load += input_caps[sink_name]
-            if name in self._output_set:
-                load += FLOP_LOAD_FACTOR * unit_cap
-            if instance.level_converter:
-                load += self.lc_cap_f(instance)
-            vdd = instance.effective_vdd(self.nominal_vdd_v)
-            delay = models[name].delay_s(load, vdd_v=vdd)
-            if instance.level_converter:
-                delay *= lc_delay_factor(vdd / self.nominal_vdd_v)
-            delays[name] = delay
-        return delays
 
     def needs_level_converter(self, name: str) -> bool:
         """True when ``name`` drives any sink at a higher supply."""

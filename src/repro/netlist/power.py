@@ -60,13 +60,21 @@ def netlist_power(netlist: Netlist,
         def activity_of(name: str) -> float:
             return activity
 
+    # Gates sharing a cell, threshold and size share one model.
+    shared, models, input_caps = {}, {}, {}
+    for name, instance in netlist.instances.items():
+        key = (id(instance.cell), instance.vth_v, instance.size_factor)
+        if key not in shared:
+            model = instance.model()
+            shared[key] = (model, model.input_cap_f)
+        models[name], input_caps[name] = shared[key]
     dynamic = 0.0
     converters = 0.0
     static = 0.0
     for name, instance in netlist.instances.items():
         vdd = instance.effective_vdd(netlist.nominal_vdd_v)
-        model = instance.model()
-        load = netlist.load_f(name)
+        model = models[name]
+        load = netlist.load_f(name, input_caps)
         alpha = activity_of(name)
         if instance.level_converter:
             lc_cap = netlist.lc_cap_f(instance)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.errors import ModelParameterError
 from repro.netlist.graph import Netlist
 from repro.netlist.power import NetlistPower, netlist_power
-from repro.optim.incremental import IncrementalTimer
+from repro.netlist.sta import TimingCore
 
 #: Default low-supply ratio (paper: "Vdd,l should be around 0.6 to 0.7
 #: times Vdd,h to maximize power savings").
@@ -82,7 +82,7 @@ def assign_cvs(netlist: Netlist, vdd_ratio: float = DEFAULT_VDD_RATIO,
     vdd_low = vdd_ratio * vdd_high
 
     power_before = netlist_power(netlist, activity, temperature_k)
-    timer = IncrementalTimer(netlist)
+    timer = TimingCore(netlist)
     if not timer.meets_timing():
         raise ModelParameterError(
             "netlist misses timing before CVS; nothing can be lowered"

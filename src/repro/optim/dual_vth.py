@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from repro.errors import ModelParameterError
 from repro.netlist.graph import Netlist
-from repro.optim.incremental import IncrementalTimer
+from repro.netlist.power import netlist_power
+from repro.netlist.sta import TimingCore
 
 #: Default high-to-low threshold offset [V] (the 100 mV of Fig. 2).
 DEFAULT_VTH_OFFSET_V = 0.100
@@ -52,15 +53,6 @@ class DualVthResult:
         return self.critical_after_s / self.critical_before_s - 1.0
 
 
-def _netlist_leakage_w(netlist: Netlist, temperature_k: float) -> float:
-    total = 0.0
-    for name, instance in netlist.instances.items():
-        vdd = instance.effective_vdd(netlist.nominal_vdd_v)
-        total += instance.model().static_power_w(
-            vdd_v=vdd, temperature_k=temperature_k)
-    return total
-
-
 def assign_dual_vth(netlist: Netlist,
                     vth_offset_v: float = DEFAULT_VTH_OFFSET_V,
                     clock_margin: float = 1.02,
@@ -89,12 +81,13 @@ def assign_dual_vth(netlist: Netlist,
     # All-low-Vth baseline.
     for instance in netlist.instances.values():
         instance.vth_v = vth_low
-    timer = IncrementalTimer(netlist)
+    timer = TimingCore(netlist)
     critical_before = timer.critical_delay_s
     if rebase_clock:
         netlist.clock_period_s = critical_before * clock_margin
         netlist.frequency_hz = 1.0 / netlist.clock_period_s
-    leakage_before = _netlist_leakage_w(netlist, temperature_k)
+    leakage_before = netlist_power(
+        netlist, temperature_k=temperature_k).static_w
 
     # Rank candidates by leakage saving per delay cost.
     def sensitivity(name: str) -> float:
@@ -105,7 +98,7 @@ def assign_dual_vth(netlist: Netlist,
                                         temperature_k=temperature_k)
         leak_high = model.static_power_w(vdd_v=vdd, vth_v=vth_high,
                                          temperature_k=temperature_k)
-        load = netlist.load_f(name)
+        load = timer.load_f(name)
         delay_low = model.delay_s(load, vdd_v=vdd)
         delay_high = model.delay_s(load, vdd_v=vdd, vth_v=vth_high)
         cost = max(delay_high - delay_low, 1e-18)
@@ -128,7 +121,8 @@ def assign_dual_vth(netlist: Netlist,
         n_gates=len(netlist),
         n_high_vth=n_high,
         leakage_before_w=leakage_before,
-        leakage_after_w=_netlist_leakage_w(netlist, temperature_k),
+        leakage_after_w=netlist_power(
+            netlist, temperature_k=temperature_k).static_w,
         critical_before_s=critical_before,
         critical_after_s=timer.critical_delay_s,
     )

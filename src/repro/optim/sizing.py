@@ -21,8 +21,8 @@ from repro.errors import ModelParameterError
 from repro.netlist.graph import Netlist
 from repro.netlist.power import NetlistPower, netlist_power, \
     total_gate_width_um
+from repro.netlist.sta import TimingCore
 from repro.optim.cvs import CvsResult, assign_cvs
-from repro.optim.incremental import IncrementalTimer
 
 #: Multiplicative shrink applied per accepted down-sizing step.
 DEFAULT_STEP = 0.8
@@ -95,7 +95,7 @@ def downsize_netlist(netlist: Netlist, step: float = DEFAULT_STEP,
 
     power_before = netlist_power(netlist, activity, temperature_k)
     width_before = total_gate_width_um(netlist)
-    timer = IncrementalTimer(netlist)
+    timer = TimingCore(netlist)
     if not timer.meets_timing():
         raise ModelParameterError("netlist misses timing before re-sizing")
 
@@ -109,9 +109,7 @@ def downsize_netlist(netlist: Netlist, step: float = DEFAULT_STEP,
                 continue
             previous = instance.size_factor
             instance.size_factor = previous * step
-            changed = [name] + [f for f in instance.fanins
-                                if f in netlist.instances]
-            if timer.try_change(changed):
+            if timer.try_change([name]):
                 resized.add(name)
                 progress = True
             else:

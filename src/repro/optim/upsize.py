@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from repro.errors import ModelParameterError
 from repro.netlist.graph import Netlist
-from repro.netlist.sta import compute_sta
-from repro.optim.incremental import IncrementalTimer
+from repro.netlist.sta import TimingCore
 
 #: Multiplicative growth per accepted up-sizing step.
 DEFAULT_STEP = 1.25
@@ -59,36 +58,32 @@ def fix_timing(netlist: Netlist, step: float = DEFAULT_STEP,
 
     from repro.netlist.power import total_gate_width_um
     width_before = total_gate_width_um(netlist)
-    timer = IncrementalTimer(netlist)
+    timer = TimingCore(netlist)
     critical_before = timer.critical_delay_s
-    period = netlist.clock_period_s
     upsized: set[str] = set()
 
     for _ in range(max_passes):
         if timer.meets_timing():
             break
-        report = compute_sta(netlist)
         improved = False
         # Walk the critical path from the endpoint backwards: late
         # stages see the full downstream load and usually benefit most.
-        for name in reversed(report.critical_path):
+        for name in reversed(timer.critical_path()):
             instance = netlist.instances[name]
             if instance.size_factor * step > max_factor:
                 continue
             previous_factor = instance.size_factor
             previous_critical = timer.critical_delay_s
             instance.size_factor = previous_factor * step
-            changed = [name] + [f for f in instance.fanins
-                                if f in netlist.instances]
             # Accept any change that tightens the critical delay, even
             # if the period is still missed.
-            timer.try_change(changed, period_s=float("inf"))
+            timer.try_change([name], period_s=float("inf"))
             if timer.critical_delay_s < previous_critical - 1e-18:
                 upsized.add(name)
                 improved = True
                 break
             instance.size_factor = previous_factor
-            timer.try_change(changed, period_s=float("inf"))
+            timer.try_change([name], period_s=float("inf"))
         if not improved:
             break
 
