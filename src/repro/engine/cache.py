@@ -7,6 +7,9 @@ statically from the import statements in each module, so function-local
 imports count too).  Editing any module in that closure -- and only in
 that closure -- changes the fingerprint and invalidates the entry, so
 unchanged experiments return instantly while touched ones re-run.
+Fingerprints are memoized per process (:class:`SourceCache`) and
+re-validated on each lookup with one ``stat`` per closure file and
+package directory, so a repeat lookup does not walk the import graph.
 
 Layout under the cache root::
 
@@ -59,6 +62,7 @@ import json
 import os
 import pickle
 import socket
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -134,33 +138,205 @@ def _find_source(module_name: str) -> Path | None:
     return path if path.suffix == ".py" and path.exists() else None
 
 
-# (path, mtime_ns, size) -> (digest, frozenset of imported repro names)
-_FILE_STATE_CACHE: dict[tuple[str, int, int], tuple[str, frozenset]] = {}
-
-
-def _file_state(path: Path, package: str | None) -> tuple[str, frozenset]:
-    stat = path.stat()
-    key = (str(path), stat.st_mtime_ns, stat.st_size)
-    cached = _FILE_STATE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    source = path.read_text(encoding="utf-8")
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    try:
-        imports = frozenset(_imported_names(source, package))
-    except SyntaxError:
-        imports = frozenset()
-    state = (digest, imports)
-    _FILE_STATE_CACHE[key] = state
-    return state
-
-
 def _package_of(module_name: str | None, path: Path | None) -> str | None:
     if module_name is None:
         return None
     if path is not None and path.name == "__init__.py":
         return module_name
     return module_name.rpartition(".")[0] or None
+
+
+#: ``(st_mtime_ns, st_size)`` of a file or directory; ``None`` if absent.
+Stamp = tuple[int, int] | None
+
+
+def _stamp(path: str) -> Stamp:
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_mtime_ns, stat.st_size
+
+
+def _stamps_match(deps: tuple[tuple[str, Stamp], ...]) -> bool:
+    return all(_stamp(path) == stamp for path, stamp in deps)
+
+
+def _search_dirs(parent: str) -> tuple[str, ...]:
+    """Directories ``find_spec`` searches for a submodule of ``parent``.
+
+    ``find_spec`` imports the parent package itself; doing it here
+    first lets the caller stamp the directories before the search
+    lists them.  Top-level names search ``sys.path``, which the
+    caller records as a whole.
+    """
+    if not parent:
+        return ()
+    try:
+        module = importlib.import_module(parent)
+    except (ImportError, AttributeError, ValueError):
+        return ()
+    return tuple(getattr(module, "__path__", None) or ())
+
+
+def _resolve(names: set[str]) -> tuple[
+        tuple[tuple[str, str | None], ...], tuple[tuple[str, Stamp], ...]]:
+    """``(targets, searched)`` for a file's imported names.
+
+    ``targets`` holds ``(resolved path, package)`` for every name that
+    is a source module; ``searched`` stamps each package directory a
+    lookup listed, taken before the lookup, since a module added
+    there later can turn an attribute import into a module import.
+    """
+    targets: list[tuple[str, str | None]] = []
+    searched: dict[str, Stamp] = {}
+    for name in sorted(names):
+        for directory in _search_dirs(name.rpartition(".")[0]):
+            if directory not in searched:
+                searched[directory] = _stamp(directory)
+        target = _find_source(name)
+        if target is not None:
+            target = target.resolve()
+            targets.append((str(target), _package_of(name, target)))
+    return tuple(targets), tuple(searched.items())
+
+
+@dataclass(frozen=True)
+class _SourceFile:
+    """One source file as a fingerprint walk sees it.
+
+    Valid while the file still has ``stamp``, every ``searched``
+    directory keeps its stamp, and ``sys.path`` equals ``sys_path``.
+    """
+
+    stamp: Stamp
+    package: str | None
+    digest: str
+    targets: tuple[tuple[str, str | None], ...]
+    searched: tuple[tuple[str, Stamp], ...]
+    sys_path: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class _RunnerMemo:
+    """A runner's fingerprint and the stamps it was computed under."""
+
+    digest: str
+    deps: tuple[tuple[str, Stamp], ...]
+    sys_path: tuple[str, ...]
+
+
+class SourceCache:
+    """Memoized source fingerprints, validated by file stamps.
+
+    Two kinds of entry, both checked against fresh ``stat`` stamps on
+    every use, so an edit is seen without any explicit invalidation:
+
+    * per file (one entry per path): stamp, SHA-256 and the resolved
+      ``repro.*`` import targets, so a file is read, parsed and its
+      imports resolved once per process, not once per lookup;
+    * per runner (keyed by experiment id, source file and module): the
+      digest plus the stamps of every closure file, every package
+      directory searched, and ``sys.path``.  A lookup whose stamps all
+      match returns the digest after one ``stat`` per dependency.
+
+    Every stamp is taken before the bytes or listing it vouches for
+    are read, so a concurrent edit can only force a recompute, never
+    pin a stale digest.  Entries are immutable and replaced whole;
+    threads racing on one key at worst both compute it.
+    """
+
+    def __init__(self) -> None:
+        self._files: dict[str, _SourceFile] = {}
+        self._runners: dict[tuple[str, str, str | None], _RunnerMemo] = {}
+
+    def fingerprint(self, experiment_id: str,
+                    runner: Callable[[], Any]) -> tuple[str, bool]:
+        """``(fingerprint, memo hit)`` of ``runner``; see
+        :func:`runner_fingerprint`."""
+        hasher = hashlib.sha256()
+        hasher.update(f"schema:{CACHE_SCHEMA_VERSION}\n".encode())
+        hasher.update(f"experiment:{experiment_id}\n".encode())
+
+        module_name = getattr(runner, "__module__", None)
+        try:
+            source_file = inspect.getsourcefile(runner) or ""
+        except TypeError:
+            source_file = ""
+        start_path = Path(source_file)
+
+        if not (start_path.name and start_path.exists()):
+            code = getattr(runner, "__code__", None)
+            token = (code.co_code if code is not None
+                     else repr(runner).encode())
+            hasher.update(b"opaque-runner:")
+            hasher.update(token)
+            return hasher.hexdigest(), False
+
+        key = (experiment_id, source_file, module_name)
+        sys_path = tuple(sys.path)
+        memo = self._runners.get(key)
+        if (memo is not None and memo.sys_path == sys_path
+                and _stamps_match(memo.deps)):
+            return memo.digest, True
+
+        deps: dict[str, Stamp] = {}
+        entries: list[str] = []
+        seen: set[str] = set()
+        queue = [(str(start_path.resolve()),
+                  _package_of(module_name, start_path))]
+        while queue:
+            path, package = queue.pop()
+            if path in seen:
+                continue
+            seen.add(path)
+            source = self._source_file(path, package, sys_path)
+            if source is None:
+                deps[path] = None
+                continue
+            deps[path] = source.stamp
+            for directory, stamp in source.searched:
+                # The first stamp seen is the oldest, so a listing that
+                # moved mid-walk fails the next check.
+                deps.setdefault(directory, stamp)
+            entries.append(f"{os.path.basename(path)}:{source.digest}")
+            queue.extend(target for target in source.targets
+                         if target[0] not in seen)
+        for entry in sorted(entries):
+            hasher.update(entry.encode("utf-8"))
+            hasher.update(b"\n")
+        digest = hasher.hexdigest()
+        self._runners[key] = _RunnerMemo(digest, tuple(deps.items()),
+                                         sys_path)
+        return digest, False
+
+    def _source_file(self, path: str, package: str | None,
+                     sys_path: tuple[str, ...]) -> _SourceFile | None:
+        stamp = _stamp(path)
+        if stamp is None:
+            return None
+        entry = self._files.get(path)
+        if (entry is not None and entry.stamp == stamp
+                and entry.package == package and entry.sys_path == sys_path
+                and _stamps_match(entry.searched)):
+            return entry
+        try:
+            source = Path(path).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return None
+        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+        try:
+            names = _imported_names(source, package)
+        except SyntaxError:
+            names = set()
+        targets, searched = _resolve(names)
+        entry = _SourceFile(stamp, package, digest, targets, searched,
+                            sys_path)
+        self._files[path] = entry
+        return entry
+
+
+_SOURCES = SourceCache()
 
 
 def runner_fingerprint(experiment_id: str,
@@ -173,52 +349,17 @@ def runner_fingerprint(experiment_id: str,
     with the experiment id.  Runners with no retrievable source (C
     builtins, REPL lambdas) fall back to hashing whatever identity
     ``inspect`` can provide, which disables sharing but stays safe.
+    Repeat calls are served by the process-wide :class:`SourceCache`
+    while no dependency's stamp has moved.
     """
-    with span("cache.fingerprint", experiment=experiment_id):
-        return _runner_fingerprint(experiment_id, runner)
-
-
-def _runner_fingerprint(experiment_id: str,
-                        runner: Callable[[], Any]) -> str:
-    hasher = hashlib.sha256()
-    hasher.update(f"schema:{CACHE_SCHEMA_VERSION}\n".encode())
-    hasher.update(f"experiment:{experiment_id}\n".encode())
-
-    module_name = getattr(runner, "__module__", None)
-    try:
-        start_path = Path(inspect.getsourcefile(runner) or "")
-    except TypeError:
-        start_path = Path("")
-
-    if not (start_path.name and start_path.exists()):
-        code = getattr(runner, "__code__", None)
-        token = code.co_code if code is not None else repr(runner).encode()
-        hasher.update(b"opaque-runner:")
-        hasher.update(token if isinstance(token, bytes) else token.encode())
-        return hasher.hexdigest()
-
-    seen_paths: set[Path] = set()
-    entries: list[str] = []
-    queue: list[tuple[Path, str | None]] = [
-        (start_path.resolve(), _package_of(module_name, start_path))]
-    while queue:
-        path, package = queue.pop()
-        if path in seen_paths:
-            continue
-        seen_paths.add(path)
-        digest, imports = _file_state(path, package)
-        entries.append(f"{path.name}:{digest}")
-        for name in sorted(imports):
-            target = _find_source(name)
-            if target is None:
-                continue
-            target = target.resolve()
-            if target not in seen_paths:
-                queue.append((target, _package_of(name, target)))
-    for entry in sorted(entries):
-        hasher.update(entry.encode("utf-8"))
-        hasher.update(b"\n")
-    return hasher.hexdigest()
+    with span("cache.fingerprint", experiment=experiment_id) as fp_span:
+        digest, hit = _SOURCES.fingerprint(experiment_id, runner)
+        fp_span.set(memo="hit" if hit else "miss")
+    # Both counters are always bumped (one by 0) so a summary shows a
+    # zero rather than omitting the name.
+    add_counter("cache.fingerprint_memo_hits", int(hit))
+    add_counter("cache.fingerprint_memo_misses", int(not hit))
+    return digest
 
 
 def ensure_dir(path: Path) -> Path:

@@ -277,6 +277,8 @@ def test_trace_command_json_format(capsys, tmp_path):
     assert payload["span_count"] == len(payload["spans"]) > 0
     assert any(row["name"] == "engine.run"
                for row in payload["phases"])
+    assert {"cache.fingerprint_memo_hits",
+            "cache.fingerprint_memo_misses"} <= set(payload["counters"])
 
 
 def test_trace_in_missing_artifact_is_no_data_exit_0(capsys,

@@ -1,12 +1,18 @@
 """The execution engine: scheduler, cache, records, metrics."""
 
+import importlib
+import importlib.util
 import itertools
 import json
 import os
+import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.analysis.experiments import EXPERIMENTS, Experiment
 from repro.engine import (
@@ -19,7 +25,7 @@ from repro.engine import (
     run_experiments,
     runner_fingerprint,
 )
-from repro.engine.cache import ensure_dir
+from repro.engine.cache import SourceCache, ensure_dir
 from repro.engine.scheduler import WAIT_PHASES
 from repro.errors import ReproError
 from repro.obs import Trace, current_trace, tracing
@@ -144,6 +150,247 @@ def test_fingerprint_covers_transitive_imports():
         inspect.getmodule(EXPERIMENTS["E-T1"].runner))
     assert any(name.startswith("repro.devices")
                for name in _imported_names(source, "repro.analysis"))
+
+
+def _fresh_walk(experiment_id, runner):
+    return SourceCache().fingerprint(experiment_id, runner)[0]
+
+
+def _traced_fingerprint(experiment_id, runner):
+    """``(fingerprint, memo hit)`` as the trace counters report it."""
+    with tracing(Trace("fingerprint")) as trace:
+        digest = runner_fingerprint(experiment_id, runner)
+    hits = trace.counters.get("cache.fingerprint_memo_hits")
+    misses = trace.counters.get("cache.fingerprint_memo_misses")
+    assert hits + misses == 1
+    return digest, hits == 1
+
+
+def _load_module(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _mtime_later(path):
+    """Move ``path``'s mtime forward 1 µs, so an edit landing in the
+    same filesystem timestamp tick as the previous state still shows."""
+    stat = os.stat(path)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1000))
+
+
+def test_memoized_fingerprints_equal_a_fresh_walk():
+    for experiment_id, experiment in sorted(EXPERIMENTS.items()):
+        runner_fingerprint(experiment_id, experiment.runner)
+        memoized, hit = _traced_fingerprint(experiment_id,
+                                            experiment.runner)
+        assert hit, experiment_id
+        assert memoized == _fresh_walk(experiment_id, experiment.runner)
+
+
+@pytest.fixture
+def scratch_package(tmp_path, monkeypatch):
+    """A ``repro.<name>`` subpackage living in ``tmp_path``.
+
+    ``repro.__path__`` is extended the way a namespace plugin extends
+    a package, so the fingerprint walk follows the scratch modules
+    like any other ``repro.*`` module.  Returns ``(package dir,
+    runner)``; the runner's closure is runner_mod -> mid -> leaf plus
+    the package ``__init__``.
+    """
+    name = f"_fp_scratch_{tmp_path.name.replace('-', '_')}"
+    root = tmp_path / "plugins"
+    package = root / name
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("helper = 'an attribute'\n")
+    (package / "leaf.py").write_text("VALUE = 1\n")
+    (package / "mid.py").write_text(
+        f"from repro.{name}.leaf import VALUE\n"
+        f"from repro.{name} import helper\n")
+    (package / "runner_mod.py").write_text(
+        "def runner():\n"
+        f"    from repro.{name}.mid import VALUE\n"
+        "    return VALUE\n")
+    monkeypatch.setattr(repro, "__path__", [*repro.__path__, str(root)])
+    importlib.invalidate_caches()
+    module = importlib.import_module(f"repro.{name}.runner_mod")
+    yield package, module.runner
+    for key in [key for key in sys.modules
+                if key.startswith(f"repro.{name}")]:
+        del sys.modules[key]
+    if hasattr(repro, name):
+        delattr(repro, name)
+
+
+def _edit_runner(package, monkeypatch):
+    with (package / "runner_mod.py").open("a") as handle:
+        handle.write("# edited\n")
+
+
+def _edit_transitive(package, monkeypatch):
+    (package / "leaf.py").write_text("VALUE = 22\n")
+
+
+def _edit_same_size(package, monkeypatch):
+    leaf = package / "leaf.py"
+    before = os.stat(leaf)
+    leaf.write_text("VALUE = 2\n")
+    assert os.stat(leaf).st_size == before.st_size
+    os.utime(leaf, ns=(before.st_atime_ns, before.st_mtime_ns + 1))
+
+
+def _add_shadowing_sibling(package, monkeypatch):
+    # mid.py's ``from repro.<pkg> import helper`` now names a module.
+    (package / "helper.py").write_text("HELPER = 1\n")
+    _mtime_later(package)
+
+
+def _delete_imported(package, monkeypatch):
+    (package / "leaf.py").unlink()
+    _mtime_later(package)
+
+
+def _change_sys_path(package, monkeypatch):
+    monkeypatch.syspath_prepend(str(package.parent.parent))
+
+
+@pytest.mark.parametrize("edit, changes_fingerprint", [
+    (_edit_runner, True),
+    (_edit_transitive, True),
+    (_edit_same_size, True),
+    (_add_shadowing_sibling, True),
+    (_delete_imported, True),
+    (_change_sys_path, False),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_fingerprint_memo_sees_every_edit(scratch_package, monkeypatch,
+                                          edit, changes_fingerprint):
+    package, runner = scratch_package
+    before, _ = _traced_fingerprint("E-ZZ", runner)
+    assert before == _fresh_walk("E-ZZ", runner)
+    assert _traced_fingerprint("E-ZZ", runner) == (before, True)
+
+    edit(package, monkeypatch)
+    importlib.invalidate_caches()
+    after, hit = _traced_fingerprint("E-ZZ", runner)
+    assert not hit
+    assert after == _fresh_walk("E-ZZ", runner)
+    assert (after != before) is changes_fingerprint
+    assert _traced_fingerprint("E-ZZ", runner) == (after, True)
+
+
+def test_source_cache_keeps_one_entry_per_file(tmp_path):
+    module_path = tmp_path / "scratch_edited_mod.py"
+    module_path.write_text("def runner():\n    return 0\n")
+    runner = _load_module(module_path, "scratch_edited_mod").runner
+    cache = SourceCache()
+    digests = set()
+    for edit in range(50):
+        # Each edit grows the file, so no two versions share a stamp.
+        module_path.write_text(
+            f"def runner():\n    return {'7' * (edit + 1)}\n")
+        digests.add(cache.fingerprint("E-ZZ", runner)[0])
+        assert len(cache._files) == 1
+    assert len(digests) == 50
+
+
+def test_concurrent_fingerprints_never_return_a_stale_digest(tmp_path):
+    module_path = tmp_path / "scratch_threaded_mod.py"
+    versions = [f"def runner():\n    return {'3' * (n + 1)}\n"
+                for n in range(40)]
+    module_path.write_text(versions[0])
+    runner = _load_module(module_path, "scratch_threaded_mod").runner
+    per_version = []
+    for text in versions:
+        module_path.write_text(text)
+        per_version.append(_fresh_walk("E-ZZ", runner))
+    valid = set(per_version)
+    assert len(valid) == len(versions)
+    module_path.write_text(versions[0])
+    fresh = SourceCache()
+    registry = {experiment_id: fresh.fingerprint(
+        experiment_id, experiment.runner)[0]
+        for experiment_id, experiment in EXPERIMENTS.items()}
+
+    writing = threading.Event()
+    writing.set()
+    problems: list[str] = []
+
+    def rewrite():
+        scratch = tmp_path / "next.py.tmp"
+        try:
+            for text in versions[1:]:
+                # Replace whole files, as editors and VCS checkouts do.
+                scratch.write_text(text)
+                os.replace(scratch, module_path)
+                time.sleep(0.002)
+        finally:
+            writing.clear()
+
+    def fingerprint_registry():
+        while True:
+            still_writing = writing.is_set()
+            for experiment_id, expected in registry.items():
+                digest = runner_fingerprint(
+                    experiment_id, EXPERIMENTS[experiment_id].runner)
+                if digest != expected:
+                    problems.append(f"{experiment_id} moved")
+            if runner_fingerprint("E-ZZ", runner) not in valid:
+                problems.append("E-ZZ digest matches no version")
+            if not still_writing:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=fingerprint_registry)
+                   for _ in range(8)]
+        threads.append(threading.Thread(target=rewrite))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert problems == []
+    assert module_path.read_text() == versions[-1]
+    assert runner_fingerprint("E-ZZ", runner) == per_version[-1]
+
+
+def test_edit_racing_a_read_never_pins_a_stale_digest(tmp_path,
+                                                      monkeypatch):
+    module_path = tmp_path / "scratch_raced_mod.py"
+    module_path.write_text("def runner():\n    return 1\n")
+    runner = _load_module(module_path, "scratch_raced_mod").runner
+    read_text = Path.read_text
+    raced = []
+
+    def read_then_edit(self, *args, **kwargs):
+        text = read_text(self, *args, **kwargs)
+        if self == module_path and not raced:
+            # The edit lands after the read, before anything else.
+            raced.append(True)
+            module_path.write_text("def runner():\n    return 22\n")
+        return text
+
+    monkeypatch.setattr(Path, "read_text", read_then_edit)
+    runner_fingerprint("E-ZZ", runner)
+    assert raced
+    assert runner_fingerprint("E-ZZ", runner) == _fresh_walk("E-ZZ",
+                                                              runner)
+
+
+def test_warm_resweep_serves_fingerprints_from_the_memo(tmp_path):
+    config = _config(tmp_path, executor="inline")
+    assert run_experiments(["E-T1", "E-T2"], config=config).all_ok
+    with tracing(Trace("warm")) as trace:
+        sweep = run_experiments(["E-T1", "E-T2"], config=config)
+    assert sweep.all_ok
+    assert trace.counters.get("cache.fingerprint_memo_hits") == 2
+    assert trace.counters.get("cache.fingerprint_memo_misses") == 0
+    assert [record.attributes.get("memo") for record in trace.spans
+            if record.name == "cache.fingerprint"] == ["hit", "hit"]
 
 
 def test_cache_put_get_and_eviction(tmp_path):
