@@ -89,7 +89,7 @@ def _service(cache_dir):
 
 
 def _round_trip(service):
-    job = service.submit(JobSpec(experiment_ids=_JOB_IDS))
+    job, _ = service.submit(JobSpec(experiment_ids=_JOB_IDS))
     deadline = time.monotonic() + 30.0
     while not job.terminal and time.monotonic() < deadline:
         time.sleep(0.002)

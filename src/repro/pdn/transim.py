@@ -15,19 +15,16 @@ regimes only.  This module simulates that waveform:
 * **stimuli** are piecewise-linear load-current waveforms (step, ramp,
   periodic burst, or sampled traces), so every segment has an exact
   state-space solution;
-* the default **integrator is segment-exact**: within each linear
-  stimulus segment the two-state system ``x' = A x + B u(t)`` is
-  propagated with the closed-form matrix exponential (evaluated through
-  the trace/determinant formula, robust across under/over/critically
+* the **integrator is segment-exact**: within each linear stimulus
+  segment the two-state system ``x' = A x + B u(t)`` is propagated
+  with the closed-form matrix exponential (evaluated through the
+  trace/determinant formula, robust across under/over/critically
   damped loops) and *sampled vectorized* over the whole segment's time
-  grid -- no per-step Python loop, unconditionally stable;
-* a discrete **trapezoidal stepper** (A-stable, second order) is kept
-  as the reference kernel: step-refinement must converge to the exact
-  path, and the before/after bench baselines compare the two;
+  grid -- no per-step Python loop, unconditionally stable, and the
+  same trajectory at any sample step;
 * the **step selector** keeps the sample grid fine enough to resolve
   the resonance and the fastest stimulus edge, so the recorded peak
-  droop is not an undersampling artifact (stability itself is free:
-  both integrators are A-stable).
+  droop is not an undersampling artifact (stability itself is free).
 
 Validation anchors (tested in ``tests/test_pdn_transim.py``): a slow,
 well-damped ramp reproduces the ``wakeup_transient`` inductive kick; a
@@ -38,7 +35,6 @@ lightly-damped current step droops by ``dI * Z0`` per
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +44,6 @@ from repro.itrs import ITRS_2000
 from repro.obs import COUNT_BUCKETS, add_counter, observe, span
 from repro.pdn.bumps import VDD_PAD_FRACTION, min_pitch_bump_count
 from repro.pdn.transients import DECAP_PER_M2, supply_inductance_h
-
-#: Environment override for the integration method; the CLI and the
-#: bench harness use it so pool workers inherit the choice.
-TRANSIM_METHOD_ENV = "REPRO_TRANSIM_METHOD"
-
-METHOD_EXACT = "exact"
-METHOD_TRAPEZOID = "trapezoid"
-METHODS = (METHOD_EXACT, METHOD_TRAPEZOID)
 
 #: Step selector: resolve the resonant period by at least this many
 #: samples (so the peak of a droop oscillation is not missed) ...
@@ -329,7 +317,6 @@ class TransientResult:
     inductor_a: np.ndarray
     #: Load current per sample [A].
     load_a: np.ndarray
-    method: str
     dt_s: float
 
     @property
@@ -401,22 +388,11 @@ class TransientResult:
         }
 
 
-def resolve_method(method: str | None = None) -> str:
-    """Integration method: explicit arg beats env beats exact default."""
-    if method is None:
-        method = os.environ.get(TRANSIM_METHOD_ENV, "").strip().lower() \
-            or METHOD_EXACT
-    if method not in METHODS:
-        raise ReproError(
-            f"unknown transim method {method!r}; choose from {METHODS}")
-    return method
-
-
 def select_step(loop: SupplyLoop, stimulus: CurrentStimulus,
                 duration_s: float, dt_s: float | None = None) -> float:
     """Pick (or validate) the sample step for one simulation.
 
-    Both integrators are A-stable, so the selector guards *resolution*,
+    The integrator is exact, so the selector guards *resolution*,
     not blow-up: the grid must sample the resonant period
     :data:`POINTS_PER_PERIOD` times (an undersampled ringing peak reads
     as a smaller droop) and the fastest finite stimulus edge
@@ -503,46 +479,14 @@ def _simulate_exact(loop: SupplyLoop, stimulus: CurrentStimulus,
     return states
 
 
-def _simulate_trapezoid(loop: SupplyLoop, stimulus: CurrentStimulus,
-                        time_s: np.ndarray, x0: np.ndarray
-                        ) -> np.ndarray:
-    """Discrete trapezoidal (Crank-Nicolson) stepping -> (n, 2).
-
-    The A-stable reference kernel: one 2x2 solve folded into two
-    constant matrices, then a sequential update per step.  Kept for
-    step-refinement convergence checks and as the bench "before"
-    kernel the vectorized exact path is measured against.
-    """
-    a, b = loop.state_matrices()
-    dt = float(time_s[1] - time_s[0])
-    eye = np.eye(2)
-    backward = np.linalg.inv(eye - 0.5 * dt * a)
-    m1 = backward @ (eye + 0.5 * dt * a)
-    m2 = backward @ (0.5 * dt * b)
-    i_load = stimulus.current_at(time_s)
-    u = np.column_stack([np.full_like(time_s, loop.vdd_v), i_load])
-    states = np.empty((len(time_s), 2))
-    states[0] = x0
-    x = np.array(x0, dtype=float)
-    for k in range(len(time_s) - 1):
-        x = m1 @ x + m2 @ (u[k] + u[k + 1])
-        states[k + 1] = x
-    return states
-
-
 def simulate(loop: SupplyLoop, stimulus: CurrentStimulus,
              duration_s: float, *, dt_s: float | None = None,
-             method: str | None = None,
              x0: np.ndarray | None = None) -> TransientResult:
     """Simulate the supply loop's response to a load-current stimulus.
 
     ``x0`` is the initial state ``[i_L, v_C]``; by default the loop
-    starts settled at the stimulus' initial current.  ``method`` is
-    ``exact`` (default) or ``trapezoid``; the
-    :data:`TRANSIM_METHOD_ENV` environment variable overrides the
-    default.
+    starts settled at the stimulus' initial current.
     """
-    method = resolve_method(method)
     dt = select_step(loop, stimulus, duration_s, dt_s)
     n_steps = max(2, int(round(duration_s / dt)))
     time_s = np.linspace(0.0, duration_s, n_steps + 1)
@@ -553,11 +497,8 @@ def simulate(loop: SupplyLoop, stimulus: CurrentStimulus,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,):
         raise ModelParameterError("x0 must be a 2-vector [i_L, v_C]")
-    with span("pdn.transim", method=method, steps=n_steps):
-        if method == METHOD_EXACT:
-            states = _simulate_exact(loop, stimulus, time_s, x0)
-        else:
-            states = _simulate_trapezoid(loop, stimulus, time_s, x0)
+    with span("pdn.transim", steps=n_steps):
+        states = _simulate_exact(loop, stimulus, time_s, x0)
         i_load = stimulus.current_at(time_s)
         v_die = loop.die_voltage(states[:, 0], states[:, 1], i_load)
         add_counter("transim.runs")
@@ -566,7 +507,7 @@ def simulate(loop: SupplyLoop, stimulus: CurrentStimulus,
         result = TransientResult(
             loop=loop, time_s=time_s, v_die_v=v_die,
             inductor_a=states[:, 0], load_a=np.asarray(i_load),
-            method=method, dt_s=float(time_s[1] - time_s[0]))
+            dt_s=float(time_s[1] - time_s[0]))
         observe("transim.max_droop_v", result.max_droop_v,
                 DROOP_BUCKETS)
     return result
@@ -577,15 +518,10 @@ __all__ = [
     "DEFAULT_IR_FRACTION",
     "DROOP_BUCKETS",
     "MAX_STEPS",
-    "METHODS",
-    "METHOD_EXACT",
-    "METHOD_TRAPEZOID",
     "POINTS_PER_EDGE",
     "POINTS_PER_PERIOD",
     "SupplyLoop",
-    "TRANSIM_METHOD_ENV",
     "TransientResult",
-    "resolve_method",
     "select_step",
     "simulate",
     "supply_loop_for_node",

@@ -9,13 +9,9 @@ from repro.errors import ModelParameterError, ReproError
 from repro.pdn.transients import supply_impedance_ohm, wakeup_transient
 from repro.pdn.transim import (
     MAX_STEPS,
-    METHOD_EXACT,
-    METHOD_TRAPEZOID,
     POINTS_PER_PERIOD,
-    TRANSIM_METHOD_ENV,
     CurrentStimulus,
     SupplyLoop,
-    resolve_method,
     select_step,
     simulate,
     supply_loop_for_node,
@@ -27,6 +23,28 @@ def _loop(zeta=0.3, vdd=1.2, ind=1e-11, cap=1e-7, esr=0.0):
     return SupplyLoop(vdd_v=vdd, inductance_h=ind,
                       resistance_ohm=2.0 * zeta * z0 - esr,
                       decap_f=cap, esr_ohm=esr)
+
+
+def _trapezoid_v_die(loop, stimulus, time_s):
+    """Crank-Nicolson reference oracle: die voltage on a uniform grid.
+
+    A-stable and second order: one 2x2 solve folded into two constant
+    matrices, then a sequential update per step, starting settled at
+    the stimulus' first current like :func:`simulate`.
+    """
+    a, b = loop.state_matrices()
+    dt = float(time_s[1] - time_s[0])
+    eye = np.eye(2)
+    backward = np.linalg.inv(eye - 0.5 * dt * a)
+    m1 = backward @ (eye + 0.5 * dt * a)
+    m2 = backward @ (0.5 * dt * b)
+    i_load = stimulus.current_at(time_s)
+    u = np.column_stack([np.full_like(time_s, loop.vdd_v), i_load])
+    states = np.empty((len(time_s), 2))
+    states[0] = loop.steady_state(float(stimulus.currents_a[0]))
+    for k in range(len(time_s) - 1):
+        states[k + 1] = m1 @ states[k] + m2 @ (u[k] + u[k + 1])
+    return loop.die_voltage(states[:, 0], states[:, 1], i_load)
 
 
 class TestSupplyLoop:
@@ -167,12 +185,9 @@ class TestIntegrators:
         errors = []
         for points in (64, 256, 1024):
             dt = loop.period_s / points
-            exact = simulate(loop, stim, duration, dt_s=dt,
-                             method=METHOD_EXACT)
-            trap = simulate(loop, stim, duration, dt_s=dt,
-                            method=METHOD_TRAPEZOID)
-            errors.append(float(np.max(
-                np.abs(trap.v_die_v - exact.v_die_v))))
+            exact = simulate(loop, stim, duration, dt_s=dt)
+            trap = _trapezoid_v_die(loop, stim, exact.time_s)
+            errors.append(float(np.max(np.abs(trap - exact.v_die_v))))
         # second-order: each 4x refinement cuts the error ~16x
         assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.2)
         assert errors[1] / errors[2] == pytest.approx(16.0, rel=0.2)
@@ -205,10 +220,10 @@ class TestIntegrators:
                           resistance_ohm=1e-4, decap_f=1e-6,
                           esr_ohm=5e-4)
         stim = CurrentStimulus.step(0.0, 80.0, at_s=1e-9)
-        exact = simulate(loop, stim, 1e-8, method=METHOD_EXACT)
-        trap = simulate(loop, stim, 1e-8, method=METHOD_TRAPEZOID)
-        assert exact.max_droop_v == pytest.approx(trap.max_droop_v,
-                                                  rel=0.01)
+        exact = simulate(loop, stim, 1e-8)
+        trap = _trapezoid_v_die(loop, stim, exact.time_s)
+        assert exact.max_droop_v == pytest.approx(
+            float(np.max(loop.vdd_v - trap)), rel=0.01)
 
 
 class TestStepSelectorAndMethods:
@@ -234,19 +249,10 @@ class TestStepSelectorAndMethods:
             select_step(loop, stim, loop.period_s * 4.0,
                         loop.period_s / (4.0 * MAX_STEPS))
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(TRANSIM_METHOD_ENV, "trapezoid")
-        assert resolve_method() == METHOD_TRAPEZOID
-        assert resolve_method(METHOD_EXACT) == METHOD_EXACT
-        monkeypatch.setenv(TRANSIM_METHOD_ENV, "nonsense")
-        with pytest.raises(ReproError):
-            resolve_method()
-
     def test_result_metadata(self):
         loop = _loop()
         stim = CurrentStimulus.step(0.0, 10.0, at_s=1e-9)
         result = simulate(loop, stim, loop.period_s)
-        assert result.method == METHOD_EXACT
         assert result.n_steps == len(result.time_s) - 1
         assert result.dt_s == pytest.approx(
             result.time_s[1] - result.time_s[0])
