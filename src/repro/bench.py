@@ -1,18 +1,24 @@
 """Perf-regression benchmark harness behind ``repro bench``.
 
 A benchmark run executes a subset of the experiment registry through
-the engine's inline executor (cache disabled, fresh
-:class:`~repro.obs.Trace` per repeat, so every repeat is a full cold
-execution with metrics attached), takes the **median of N repeats** per
-experiment, and serialises the result as a schema-versioned snapshot::
+the engine's process executor (one worker, cache disabled, fresh
+:class:`~repro.obs.Trace` per repeat), so every repeat is a cold
+execution in its own forked child: no repeat inherits another's warm
+caches (the multilevel preconditioner's setup cache, for one) or its
+RSS high-water mark.  It takes the **median of N repeats** per
+experiment and serialises the result as a schema-versioned snapshot::
 
     BENCH_<UTC timestamp>.json
 
-Each snapshot records, per benchmark, the repeat wall times and their
-median, the process peak RSS, the solver-iteration total pulled from
-the ``solver.iterations_per_solve`` histogram, and the span count --
-plus a host fingerprint so a comparison across machines is visibly a
-comparison across machines.
+Each snapshot records, per benchmark, the repeat wall times (the
+child's ``worker.run`` span, so fork and pipe costs stay out of the
+figure) and their median, the peak RSS of the repeats' children, the
+solver-iteration total pulled from the ``solver.iterations_per_solve``
+histogram, and the span count -- plus a host fingerprint so a
+comparison across machines is visibly a comparison across machines,
+and the provenance of the measured code: its git revision, whether the
+checkout had uncommitted changes, and the ``REPRO_*`` settings in
+effect.
 
 Comparison (:func:`compare_snapshots`) is **noise-aware**: a benchmark
 only counts as a regression when the new median exceeds the baseline by
@@ -33,6 +39,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,7 +54,6 @@ from repro.obs import (
     get_logger,
     logging_configured,
     round_metric,
-    sample_resources,
     span,
     tracing,
     wall_now,
@@ -85,6 +91,43 @@ def host_fingerprint() -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "cpus": os.cpu_count() or 1,
+    }
+
+
+#: Bound on each provenance ``git`` call: a slow or hung repository
+#: must not hold up a benchmark run.
+GIT_TIMEOUT_S = 5.0
+
+
+def source_revision(directory: Path | str) -> dict:
+    """Git revision and dirty flag of the checkout holding ``directory``.
+
+    Both are ``None`` outside a checkout, without git, or when git does
+    not answer within :data:`GIT_TIMEOUT_S`.
+    """
+    def git(*args: str) -> str | None:
+        try:
+            done = subprocess.run(["git", *args], cwd=directory,
+                                  capture_output=True, text=True,
+                                  timeout=GIT_TIMEOUT_S, check=False)
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return done.stdout if done.returncode == 0 else None
+
+    revision = git("rev-parse", "HEAD")
+    if revision is None:
+        return {"git_revision": None, "git_dirty": None}
+    status = git("status", "--porcelain")
+    return {"git_revision": revision.strip(),
+            "git_dirty": None if status is None else bool(status.strip())}
+
+
+def provenance() -> dict:
+    """What code and ``REPRO_*`` settings a snapshot measured."""
+    return {
+        **source_revision(Path(__file__).resolve().parent),
+        "env": {name: value for name, value in sorted(os.environ.items())
+                if name.startswith("REPRO_")},
     }
 
 
@@ -152,9 +195,10 @@ def run_benchmarks(experiment_ids: Sequence[str] | None = None, *,
                    slowdown_s: float = 0.0) -> dict:
     """Run the benchmarks and return a schema-versioned snapshot dict.
 
-    Every repeat is a cold inline-engine execution under a fresh trace;
-    a failing repeat raises :class:`~repro.errors.ReproError`
-    immediately (a benchmark of a broken experiment measures nothing).
+    Every repeat is a cold execution in a freshly forked engine worker
+    under a fresh trace; a failing repeat raises
+    :class:`~repro.errors.ReproError` immediately (a benchmark of a
+    broken experiment measures nothing).
     """
     if repeats < 1:
         raise ReproError(f"repeats must be >= 1, got {repeats}")
@@ -165,7 +209,7 @@ def run_benchmarks(experiment_ids: Sequence[str] | None = None, *,
         from repro.analysis.experiments import EXPERIMENTS
         ids = list(EXPERIMENTS)
 
-    config = EngineConfig(executor="inline", cache_enabled=False)
+    config = EngineConfig(jobs=1, cache_enabled=False)
     benchmarks = []
     for experiment_id in ids:
         wall_times: list[float] = []
@@ -181,12 +225,14 @@ def run_benchmarks(experiment_ids: Sequence[str] | None = None, *,
                 raise ReproError(
                     f"benchmark {experiment_id} failed "
                     f"({record.status}): {record.error}")
-            wall_times.append(record.wall_time_s + slowdown_s)
+            run_s = next(worker.duration_s for worker in trace.spans
+                         if worker.name == "worker.run")
+            wall_times.append(run_s + slowdown_s)
             solver_iterations += _histogram_sum(
                 trace.metrics, "solver.iterations_per_solve")
             span_count += len(trace)
             peak_rss_kb = max(peak_rss_kb,
-                              sample_resources().rss_peak_kb)
+                              trace.metrics.gauge("resource.rss_peak_kb"))
         benchmarks.append({
             "id": experiment_id,
             "family": experiment_family(experiment_id),
@@ -202,6 +248,7 @@ def run_benchmarks(experiment_ids: Sequence[str] | None = None, *,
         "schema": BENCH_SCHEMA,
         "created_at": round_metric(wall_now()),
         "host": host_fingerprint(),
+        "provenance": provenance(),
         "config": {"repeats": repeats,
                    "slowdown_s": round_metric(slowdown_s)},
         "telemetry": measure_telemetry_overhead(),
@@ -240,6 +287,22 @@ def validate_snapshot(payload: Any) -> list[str]:
                 if not isinstance(value, (int, float)) or value < 0:
                     errors.append(f"telemetry.{key} missing or "
                                   f"negative")
+    source = payload.get("provenance")
+    if source is not None:  # optional: pre-provenance snapshots
+        if not isinstance(source, dict):
+            errors.append("provenance is not an object")
+        else:
+            if not isinstance(source.get("git_revision"), (str, type(None))):
+                errors.append("provenance.git_revision is not a string "
+                              "or null")
+            if not isinstance(source.get("git_dirty"), (bool, type(None))):
+                errors.append("provenance.git_dirty is not a boolean "
+                              "or null")
+            env = source.get("env")
+            if not isinstance(env, dict) or any(
+                    not isinstance(value, str) for value in env.values()):
+                errors.append("provenance.env is not an object of "
+                              "strings")
     benchmarks = payload.get("benchmarks")
     if not isinstance(benchmarks, list) or not benchmarks:
         errors.append("benchmarks missing or empty")
@@ -482,8 +545,10 @@ __all__ = [
     "list_snapshots",
     "load_snapshot",
     "measure_telemetry_overhead",
+    "provenance",
     "run_benchmarks",
     "snapshot_filename",
+    "source_revision",
     "validate_snapshot",
     "write_snapshot",
 ]

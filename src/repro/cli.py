@@ -47,11 +47,12 @@ Commands
     ``jobs submit --profile``.
 ``bench [ids...] [--quick] [--repeats N] [--out-dir D]``
     Run the perf-regression benchmark harness: median-of-N cold runs
-    per experiment, written as a schema-versioned ``BENCH_*.json``
+    per experiment, each in its own forked engine worker, written as a
+    schema-versioned ``BENCH_*.json``
     snapshot and compared against the newest earlier snapshot in the
     output directory with a noise-aware threshold.  ``run``,
     ``run-all`` and ``bench`` accept ``--preconditioner
-    auto|jacobi|amg|none`` to pin the SPD-solver policy (exported as
+    auto|jacobi|amg`` to pin the SPD-solver policy (exported as
     ``REPRO_PRECONDITIONER`` so pool workers inherit it).
 ``serve [--host H] [--port P] [--queue-depth N] ...``
     Run the experiment service daemon: an HTTP/JSON job API with a

@@ -10,16 +10,18 @@ shapes:
   the worker process *is* the task, so its ``ru_maxrss`` and CPU totals
   are the task's cost, and the parent's max-merge of the
   ``resource.rss_peak_kb`` gauge yields the sweep-wide worker peak.
-* **delta** (:class:`ResourceSampler` / :func:`record_resource_delta`)
-  -- bracket a region and record what it consumed.  Used for the
-  per-sweep accounting in the scheduler (whose process outlives many
-  sweeps) and by the benchmark fixtures.
+* **delta** (:func:`record_resource_delta`) -- bracket a region with
+  :func:`sample_resources` and record what it consumed.  Used for the
+  per-task and per-sweep accounting in the scheduler, whose process
+  outlives many sweeps.
 
 ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; the samples
 normalise to kilobytes.  Note that a process's peak RSS is monotone,
 so a *delta* of peaks is zero unless the region set a new high-water
-mark -- which is why the peak is recorded as a max-merged gauge rather
-than a differenced histogram.
+mark -- which is why the peak is recorded as a gauge rather than a
+differenced histogram.  Both recorders only ever *raise* that gauge:
+the parent's own sample must not overwrite a larger worker peak that
+was merged into the same registry earlier in the sweep.
 """
 
 from __future__ import annotations
@@ -68,11 +70,17 @@ def sample_resources() -> ResourceSample:
     )
 
 
+def _raise_rss_peak(metrics: MetricsRegistry, rss_peak_kb: float) -> None:
+    """Fold ``rss_peak_kb`` into the gauge; a larger value already
+    there (a merged worker's peak) stays, as in a worker merge."""
+    metrics.merge_payload({"gauges": {"resource.rss_peak_kb": rss_peak_kb}})
+
+
 def record_resource_metrics(metrics: MetricsRegistry,
                             scope: str = "process") -> ResourceSample:
     """Record this process's lifetime usage (gauges + scoped histograms)."""
     sample = sample_resources()
-    metrics.set_gauge("resource.rss_peak_kb", sample.rss_peak_kb)
+    _raise_rss_peak(metrics, sample.rss_peak_kb)
     metrics.observe("resource.cpu_s", sample.cpu_s,
                     buckets=DURATION_BUCKETS, scope=scope)
     metrics.observe("resource.gc_collections", sample.gc_collections,
@@ -86,10 +94,10 @@ def record_resource_delta(metrics: MetricsRegistry,
     """Record the usage accrued since ``before`` under ``scope``.
 
     CPU and GC are differenced; the RSS peak is absolute (see module
-    docstring) and lands as the max-merged gauge.
+    docstring) and only raises the max-merged gauge.
     """
     after = sample_resources()
-    metrics.set_gauge("resource.rss_peak_kb", after.rss_peak_kb)
+    _raise_rss_peak(metrics, after.rss_peak_kb)
     metrics.observe("resource.cpu_s",
                     max(0.0, after.cpu_s - before.cpu_s),
                     buckets=DURATION_BUCKETS, scope=scope)
@@ -102,40 +110,8 @@ def record_resource_delta(metrics: MetricsRegistry,
     return after
 
 
-class ResourceSampler:
-    """Delta-samples resource usage around regions into one registry."""
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self.metrics = metrics
-
-    def measure(self, scope: str) -> "_Measurement":
-        """``with sampler.measure("sweep"): ...`` records the region's
-        CPU/GC deltas, wall time, and the process RSS peak."""
-        return _Measurement(self.metrics, scope)
-
-
-class _Measurement:
-    __slots__ = ("_metrics", "_scope", "_before")
-
-    def __init__(self, metrics: MetricsRegistry, scope: str) -> None:
-        self._metrics = metrics
-        self._scope = scope
-        self._before: ResourceSample | None = None
-
-    def __enter__(self) -> "_Measurement":
-        self._before = sample_resources()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._before is not None:
-            record_resource_delta(self._metrics, self._before,
-                                  self._scope)
-        return False
-
-
 __all__ = [
     "ResourceSample",
-    "ResourceSampler",
     "record_resource_delta",
     "record_resource_metrics",
     "sample_resources",

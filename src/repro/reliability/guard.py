@@ -81,9 +81,8 @@ DENSE_FALLBACK_MAX_BYTES = 512 * 1024 * 1024
 PRECONDITIONER_AUTO = "auto"
 PRECONDITIONER_JACOBI = "jacobi"
 PRECONDITIONER_AMG = "amg"
-PRECONDITIONER_NONE = "none"
 PRECONDITIONER_CHOICES = (PRECONDITIONER_AUTO, PRECONDITIONER_JACOBI,
-                          PRECONDITIONER_AMG, PRECONDITIONER_NONE)
+                          PRECONDITIONER_AMG)
 
 #: Environment override for the default preconditioner policy --
 #: the CLI ``--preconditioner`` knob sets this for child workers too.
@@ -127,7 +126,7 @@ class SolveDiagnostics:
     bracket: tuple[float, float] | None = None
     converged: bool = True
     #: Preconditioner kind actually applied on the CG path
-    #: ("jacobi" / "amg" / "none"), ``None`` for non-CG methods.
+    #: ("jacobi" / "amg"), ``None`` for non-CG methods.
     preconditioner: str | None = None
     #: True when the multilevel setup came from the reuse cache.
     setup_reused: bool = False
@@ -353,7 +352,7 @@ def guarded_linear_solve(matrix: Any, rhs: np.ndarray, *, name: str,
     ``solver.residual`` histograms like every other guarded solve.
     ``preconditioner`` picks the rung: ``"auto"`` (default; Jacobi
     below :data:`AMG_MIN_UNKNOWNS`, smoothed-aggregation multilevel at
-    or above it), ``"jacobi"``, ``"amg"``, or ``"none"``; ``None``
+    or above it), ``"jacobi"``, or ``"amg"``; ``None``
     reads the :data:`PRECONDITIONER_ENV` environment override (the CLI
     ``--preconditioner`` knob).  Multilevel setups are reused across
     solves that share a sparsity fingerprint, and setup vs iteration
@@ -456,11 +455,10 @@ def _try_cg(sparse: Any, rhs: np.ndarray, *, rtol: float,
     The preconditioner ladder: ``amg`` builds (or reuses from the
     fingerprint cache) a multilevel hierarchy whose V-cycle keeps the
     iteration count mesh-size-independent; ``jacobi`` scales as
-    ``O(sqrt(n))`` iterations; ``none`` runs raw CG.  The iteration
-    budget matches the preconditioner -- a small constant for ``amg``,
-    ``8 sqrt(n) + 100`` otherwise -- so a genuinely ill-conditioned
-    system falls through to the factorization quickly instead of
-    spinning.
+    ``O(sqrt(n))`` iterations.  The iteration budget matches the
+    preconditioner -- a small constant for ``amg``, ``8 sqrt(n) + 100``
+    for ``jacobi`` -- so a genuinely ill-conditioned system falls
+    through to the factorization quickly instead of spinning.
     """
     from scipy.sparse.linalg import LinearOperator, cg
 

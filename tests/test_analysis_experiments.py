@@ -1,7 +1,9 @@
 """Experiment registry: coverage and runnability of the fast artifacts.
 
-The heavy claims (E-C3..E-C5, E-C7) are exercised by the benchmark
-suite; here we check the registry itself plus every cheap runner.
+Every artifact's paper shape, the heavy claims (E-C3..E-C5, E-C7)
+included, is asserted in ``tests/test_paper_shapes.py``; here we check
+the registry itself plus every cheap runner through the single-shot
+``run_experiment`` path.
 """
 
 import pytest

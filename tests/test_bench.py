@@ -1,9 +1,11 @@
 """The perf-regression benchmark harness and its snapshot schema."""
 
 import json
+import os
 
 import pytest
 
+from repro.analysis.experiments import EXPERIMENTS, Experiment
 from repro.bench import (
     BENCH_SCHEMA,
     QUICK_IDS,
@@ -15,6 +17,7 @@ from repro.bench import (
     load_snapshot,
     run_benchmarks,
     snapshot_filename,
+    source_revision,
     validate_snapshot,
     write_snapshot,
 )
@@ -58,6 +61,42 @@ def test_run_benchmarks_produces_valid_snapshot():
     assert et2["solver_iterations"] > 0
     # snapshots must survive a JSON round trip unchanged
     assert json.loads(json.dumps(snapshot)) == snapshot
+
+
+def test_each_repeat_runs_in_a_fresh_child(tmp_path, monkeypatch):
+    pid_log = tmp_path / "pids.log"
+
+    def pid_runner():
+        with pid_log.open("a") as stream:
+            stream.write(f"{os.getpid()}\n")
+        return {"value": 1}
+
+    monkeypatch.setitem(
+        EXPERIMENTS, "E-PID",
+        Experiment("E-PID", "records its pid", "(test)", pid_runner))
+    snapshot = run_benchmarks(["E-PID"], repeats=3)
+    pids = pid_log.read_text().split()
+    assert len(pids) == 3
+    assert len(set(pids)) == 3  # no repeat reuses another's process
+    assert str(os.getpid()) not in pids
+    assert len(snapshot["benchmarks"][0]["wall_times_s"]) == 3
+
+
+def test_snapshot_records_provenance(monkeypatch):
+    monkeypatch.setenv("REPRO_PROVENANCE_PROBE", "on")
+    snapshot = run_benchmarks(["E-T2"], repeats=1)
+    source = snapshot["provenance"]
+    assert source["env"]["REPRO_PROVENANCE_PROBE"] == "on"
+    assert all(name.startswith("REPRO_") for name in source["env"])
+    revision = source["git_revision"]
+    assert revision is None or len(revision) == 40
+    assert source["git_dirty"] in (None, True, False)
+    assert validate_snapshot(snapshot) == []
+
+
+def test_source_revision_outside_a_checkout(tmp_path):
+    assert source_revision(tmp_path) == {"git_revision": None,
+                                         "git_dirty": None}
 
 
 def test_run_benchmarks_slowdown_pads_measurements():
@@ -205,6 +244,23 @@ def test_validate_snapshot_accepts_missing_telemetry_and_flags_bad():
         "span_overhead_s": -1.0, "log_overhead_s": 0.0}}
     assert any("telemetry" in problem
                for problem in validate_snapshot(negative))
+
+
+def test_validate_snapshot_accepts_missing_provenance_and_flags_bad():
+    # Pre-provenance snapshots (the committed baselines) stay valid...
+    assert validate_snapshot(_snapshot({"a": 1.0})) == []
+    outside = _snapshot({"a": 1.0}) | {"provenance": {
+        "git_revision": None, "git_dirty": None, "env": {}}}
+    assert validate_snapshot(outside) == []
+    # ...but a malformed block is flagged field by field.
+    for bad in ("yes",
+                {"git_revision": 7, "git_dirty": None, "env": {}},
+                {"git_revision": None, "git_dirty": "no", "env": {}},
+                {"git_revision": None, "git_dirty": None,
+                 "env": {"REPRO_X": 1}}):
+        problems = validate_snapshot(
+            _snapshot({"a": 1.0}) | {"provenance": bad})
+        assert any("provenance" in problem for problem in problems), bad
 
 
 def test_compare_flags_telemetry_mismatch():

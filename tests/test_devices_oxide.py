@@ -58,6 +58,20 @@ def test_relative_metal_benefit_grows_as_oxide_thins():
     assert gain_thin > gain_thick
 
 
+def test_metal_benefit_grows_along_the_roadmap():
+    # Removing the fixed 2.5 A of gate depletion boosts Coxe more as
+    # the physical oxide thins node by node.
+    from repro.devices.params import device_for_node
+    from repro.itrs import ITRS_2000
+
+    gains = []
+    for node_nm in ITRS_2000.node_sizes:
+        stack = device_for_node(node_nm).gate_stack
+        gains.append(stack.with_metal_gate().coxe / stack.coxe)
+    assert all(a <= b + 1e-12 for a, b in zip(gains, gains[1:]))
+    assert gains[-1] > gains[0]
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0])
 def test_nonpositive_thickness_rejected(bad):
     with pytest.raises(ModelParameterError):

@@ -10,14 +10,14 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
-def report_text():
+def report_text(registry_results):
     sys.path.insert(0, str(REPO / "scripts"))
     try:
         from generate_experiments_md import write_report
     finally:
         sys.path.pop(0)
     buffer = io.StringIO()
-    write_report(buffer)
+    write_report(buffer, registry_results)
     return buffer.getvalue()
 
 
@@ -54,7 +54,7 @@ def test_design_md_lists_every_subpackage():
 def test_readme_references_real_paths():
     readme = (REPO / "README.md").read_text()
     for token in ("examples/quickstart.py", "DESIGN.md",
-                  "EXPERIMENTS.md", "pytest benchmarks/"):
+                  "EXPERIMENTS.md", "tests/test_paper_shapes.py"):
         assert token in readme, token
     # Every example the README advertises exists.
     for line in readme.splitlines():

@@ -98,6 +98,14 @@ class TestAgainstSimulation:
         # stay within ~2.5x either way across random netlists.
         assert 0.4 < total_est / total_sim < 2.5
 
+    def test_default_density_tracks_simulation(self):
+        netlist = random_netlist(100, n_gates=250, seed=22)
+        estimated = estimated_activity_map(netlist)
+        simulated = measured_activity(netlist, n_vectors=300, seed=2)
+        ratio = (sum(estimated.values())
+                 / sum(simulated.activity_map().values()))
+        assert 0.4 < ratio < 2.5
+
     def test_map_is_capped(self):
         netlist = random_netlist(100, n_gates=150, seed=23)
         for value in estimated_activity_map(netlist,

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits.gate import GateKind
 from repro.circuits.library import build_library
+from repro.circuits.mcml import CMOS_GLITCH_FACTOR
 from repro.errors import NetlistError
 from repro.netlist.graph import Netlist
 from repro.netlist.logic import (
@@ -137,6 +138,25 @@ class TestSimulation:
         assert busy.mean_activity() > 4 * quiet.mean_activity()
         # Quiet inputs land in the paper's 0.01-0.1 "logic" band.
         assert 0.005 < quiet.mean_activity() < 0.12
+
+    @pytest.mark.parametrize("flip,band", [(0.03, (0.005, 0.12)),
+                                           (0.5, (0.1, 0.5))])
+    def test_activity_bands(self, flip, band):
+        netlist = random_netlist(100, n_gates=200, seed=23)
+        result = measured_activity(netlist, n_vectors=300, seed=3,
+                                   flip_probability=flip)
+        low, high = band
+        assert low < result.mean_activity() < high
+
+    def test_busy_traffic_glitch_regime(self):
+        # Busy traffic produces the high-activity regime; the glitch
+        # factor exceeds one and sits below the conservative datapath
+        # multiplier used by the MCML comparison (random logic glitches
+        # less than arithmetic).
+        netlist = random_netlist(100, n_gates=250, seed=21, max_depth=24)
+        result = measured_activity(netlist, n_vectors=300, seed=1)
+        assert 0.1 < result.mean_activity() < 0.5
+        assert 1.0 <= result.mean_glitch_factor() <= CMOS_GLITCH_FACTOR
 
     def test_vector_validation(self):
         netlist = random_netlist(100, n_gates=40, seed=0)

@@ -13,12 +13,12 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     RESIDUAL_BUCKETS,
-    ResourceSampler,
     Trace,
     current_metrics,
     exponential_buckets,
     linear_buckets,
     observe,
+    record_resource_delta,
     record_resource_metrics,
     registry_summary,
     reset_tracing,
@@ -352,13 +352,25 @@ def test_record_resource_metrics_absolute_shape():
 
 def test_resource_sampler_brackets_a_region():
     registry = MetricsRegistry()
-    sampler = ResourceSampler(registry)
-    with sampler.measure("bench"):
-        time.sleep(0.01)
+    before = sample_resources()
+    time.sleep(0.01)
+    record_resource_delta(registry, before, scope="bench")
     wall = registry.histogram("resource.wall_s", scope="bench")
     assert wall.count == 1
     assert wall.sum >= 0.01
     assert registry.gauge("resource.rss_peak_kb") > 0
+
+
+def test_parent_samples_keep_a_merged_worker_rss_peak():
+    # A forked worker's lifetime peak arrives by payload merge before
+    # the parent records its own (smaller) sweep and process samples.
+    registry = MetricsRegistry()
+    worker_peak_kb = sample_resources().rss_peak_kb + 1024.0 * 1024.0
+    registry.merge_payload(
+        {"gauges": {"resource.rss_peak_kb": worker_peak_kb}})
+    record_resource_delta(registry, sample_resources(), scope="sweep")
+    record_resource_metrics(registry, scope="process")
+    assert registry.gauge("resource.rss_peak_kb") == worker_peak_kb
 
 
 # -- trace integration ------------------------------------------------

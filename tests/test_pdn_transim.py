@@ -256,3 +256,14 @@ class TestStepSelectorAndMethods:
         assert result.n_steps == len(result.time_s) - 1
         assert result.dt_s == pytest.approx(
             result.time_s[1] - result.time_s[0])
+
+    def test_long_periodic_run_keeps_the_explicit_grid(self):
+        # 40 resonant periods of an 8-pulse train at period/512: every
+        # stimulus segment is sampled on the requested grid.
+        loop = supply_loop_for_node(100, False, damping_ratio=0.3)
+        stim = CurrentStimulus.periodic(10.0, 120.0,
+                                        loop.period_s * 4.0, 8)
+        result = simulate(loop, stim, loop.period_s * 40.0,
+                          dt_s=loop.period_s / 512.0)
+        assert result.n_steps >= 10_000
+        assert np.all(np.isfinite(result.v_die_v))

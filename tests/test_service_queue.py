@@ -135,6 +135,16 @@ def test_queue_priority_order_fifo_within_class():
     assert queue.pop() is None
 
 
+def test_queue_admits_and_drains_every_job_across_tenants():
+    queue = AdmissionQueue(QueueConfig(max_depth=256, max_per_tenant=64))
+    for index in range(256):
+        queue.submit(_job(tenant=f"t{index % 4}"))
+    while queue.pop() is not None:
+        pass
+    assert queue.admitted == 256
+    assert queue.depth() == 0
+
+
 def test_queue_global_depth_rejection():
     queue = AdmissionQueue(QueueConfig(max_depth=2, max_per_tenant=2))
     queue.submit(_job(tenant="a"))
